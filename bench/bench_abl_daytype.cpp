@@ -22,7 +22,7 @@ double predict_with_days(const MachineTrace& trace,
       estimator.count_transitions(trace, days, window);
   const SmpModel model = estimator.build_model(counts);
   const SparseTrSolver solver(model);
-  const State init = estimator.majority_initial_state(trace, days, window);
+  const State init = counts.majority_initial_state();
   const std::size_t steps = window.steps(trace.sampling_period());
   return solver.solve(is_available(init) ? init : State::kS1, steps)
       .temporal_reliability;

@@ -24,38 +24,45 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
       FGCS_REQUIRE_MSG(model.q(index_of(failure), to) == 0.0,
                        "failure states must be absorbing");
 
-  // Cross-transition kernels over their full support, padded to a common
-  // length so the inner loop has one bound. Stored once: extension re-reads
-  // these, never the model.
-  a12_ = weighted_holding_pmf(model, kS1, kS2, model.h_pmf(kS1, kS2).size());
-  a21_ = weighted_holding_pmf(model, kS2, kS1, model.h_pmf(kS2, kS1).size());
-  kernel_limit_ = std::max(a12_.size(), a21_.size()) - 1;
-  a12_.resize(kernel_limit_ + 1, 0.0);
-  a21_.resize(kernel_limit_ + 1, 0.0);
+  // Cross-transition kernels a12/a21 at the lags where either is nonzero: a
+  // lag zero in both adds exact +0.0s to non-negative accumulators, so
+  // skipping it changes no bit. Stored once: extension re-reads these, never
+  // the model.
+  const std::size_t kernel_limit = std::max(model.h_pmf(kS1, kS2).size(),
+                                            model.h_pmf(kS2, kS1).size());
+  const std::vector<double> a12 =
+      weighted_holding_pmf(model, kS1, kS2, kernel_limit);
+  const std::vector<double> a21 =
+      weighted_holding_pmf(model, kS2, kS1, kernel_limit);
+  for (std::size_t l = 1; l <= kernel_limit; ++l)
+    if (a12[l] != 0.0 || a21[l] != 0.0) kernel_.push_back({l, a12[l], a21[l]});
 
   // The six weighted direct-absorption pmfs, interleaved into the same
-  // 8-lane layout as the curves so the cumulative update is one strided row
-  // read per tick.
-  for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj) {
-    const std::size_t j = index_of(kFailureStates[jj]);
-    wd_limit_ = std::max({wd_limit_, model.h_pmf(kS1, j).size(),
-                          model.h_pmf(kS2, j).size()});
-  }
-  wd_.assign((wd_limit_ + 1) * kLanes, 0.0);
-  for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj) {
-    const std::size_t j = index_of(kFailureStates[jj]);
-    for (std::size_t row = 0; row < 2; ++row) {
-      const double q = model.q(row == 0 ? kS1 : kS2, j);
-      if (q == 0.0) continue;
-      const auto pmf = model.h_pmf(row == 0 ? kS1 : kS2, j);
-      for (std::size_t l = 1; l <= pmf.size(); ++l)
-        wd_[l * kLanes + 4 * row + jj] = q * pmf[l - 1];
-    }
+  // 8-lane layout as the curves; only rows with a nonzero lane are kept, so
+  // the cumulative update is one row read per observed hold length.
+  std::size_t wd_limit = 0;
+  for (const State failure : kFailureStates)
+    wd_limit = std::max({wd_limit, model.h_pmf(kS1, index_of(failure)).size(),
+                         model.h_pmf(kS2, index_of(failure)).size()});
+  std::array<std::vector<double>, kLanes> lanes;
+  for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj)
+    for (std::size_t row = 0; row < 2; ++row)
+      lanes[4 * row + jj] = weighted_holding_pmf(
+          model, row == 0 ? kS1 : kS2, index_of(kFailureStates[jj]), wd_limit);
+  for (std::size_t m = 1; m <= wd_limit; ++m) {
+    std::array<double, kLanes> row{};
+    for (std::size_t lane = 0; lane < kLanes; ++lane)
+      if (!lanes[lane].empty()) row[lane] = lanes[lane][m];
+    if (std::all_of(row.begin(), row.end(), [](double v) { return v == 0.0; }))
+      continue;
+    wd_rows_.push_back(m);
+    wd_.insert(wd_.end(), row.begin(), row.end());
   }
 
   p_.assign(kLanes, 0.0);  // row 0: nothing absorbed in zero ticks
   if (t_max > 0 && t_max >= config.fft_crossover) {
-    // Large fresh build: one O(n log² n) FFT pass instead of O(n²) ticks.
+    // Large fresh build: one O(n log² n) FFT pass instead of n recursion
+    // ticks.
     const SparseTrSolver::Series series =
         FastTrSolver(model).solve_series(t_max);
     p_.assign((t_max + 1) * kLanes, 0.0);
@@ -66,9 +73,9 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
       }
     // Seed the running cumulative sums so extend_to() can resume the direct
     // recursion from t_max.
-    for (std::size_t m = 1; m <= std::min(t_max, wd_limit_); ++m)
+    for (std::size_t r = 0; r < wd_rows_.size() && wd_rows_[r] <= t_max; ++r)
       for (std::size_t lane = 0; lane < kLanes; ++lane)
-        cum_[lane] += wd_[m * kLanes + lane];
+        cum_[lane] += wd_[r * kLanes + lane];
     t_max_ = t_max;
   } else {
     extend_to(t_max);
@@ -76,25 +83,25 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
 }
 
 void AbsorptionCurves::compute_rows(std::size_t from_m, std::size_t to_m) {
-  const double* a12 = a12_.data();
-  const double* a21 = a21_.data();
+  // Next stored direct-absorption row at or after from_m.
+  std::size_t r = static_cast<std::size_t>(
+      std::lower_bound(wd_rows_.begin(), wd_rows_.end(), from_m) -
+      wd_rows_.begin());
   for (std::size_t m = from_m; m <= to_m; ++m) {
-    if (m <= wd_limit_) {
-      const double* wd = &wd_[m * kLanes];
+    if (r < wd_rows_.size() && wd_rows_[r] == m) {
+      const double* wd = &wd_[r++ * kLanes];
       for (std::size_t lane = 0; lane < kLanes; ++lane) cum_[lane] += wd[lane];
     }
-    // One accumulator per series: per-series summation order matches
-    // SparseTrSolver's scalar recursion exactly (l ascending), so every
-    // produced double is bit-identical; lags past the kernel support only
-    // ever add exact zeros and are skipped.
+    // One accumulator per series, fed in ascending lag order: per-series
+    // summation order matches SparseTrSolver's scalar recursion, and the
+    // lags skipped (zero weight, or ≥ m) only ever add exact zeros there,
+    // so every produced double is bit-identical.
     double acc[kLanes] = {};
-    const std::size_t l_hi = std::min(m - 1, kernel_limit_);
-    for (std::size_t l = 1; l <= l_hi; ++l) {
-      const double k12 = a12[l];
-      const double k21 = a21[l];
-      const double* prev = &p_[(m - l) * kLanes];
-      for (std::size_t jj = 0; jj < 3; ++jj) acc[jj] += k12 * prev[4 + jj];
-      for (std::size_t jj = 0; jj < 3; ++jj) acc[4 + jj] += k21 * prev[jj];
+    for (const Lag& k : kernel_) {
+      if (k.lag >= m) break;
+      const double* prev = &p_[(m - k.lag) * kLanes];
+      for (std::size_t jj = 0; jj < 3; ++jj) acc[jj] += k.a12 * prev[4 + jj];
+      for (std::size_t jj = 0; jj < 3; ++jj) acc[4 + jj] += k.a21 * prev[jj];
     }
     double* row = &p_[m * kLanes];
     for (std::size_t lane = 0; lane < kLanes; ++lane)

@@ -4,16 +4,22 @@
 // P_{i,j}(1..T_max) (i ∈ {S1,S2}, j ∈ {S3,S4,S5}) determine EVERY temporal
 // reliability the model can produce: TR(W) for a window of n ≤ T_max steps
 // is a three-entry table read plus a subtraction. An AbsorptionCurves object
-// runs the O(T²) recursion once, then answers any (initial state, horizon)
-// in O(1) — the structure the serving stack caches next to each memoized
-// model so warm queries never re-enter the solver (DESIGN.md §5).
+// runs the recursion once, then answers any (initial state, horizon) in
+// O(1) — the structure the serving stack caches next to each memoized model
+// so warm queries never re-enter the solver (DESIGN.md §5).
+//
+// Cost: the cross kernels a12/a21 are stored at their nonzero lags only, so
+// a build to T costs O(T·k) for k distinct nonzero lags. The estimator's
+// empirical pmfs (laplace_alpha = 0) are nonzero only at observed hold
+// lengths, so k is small; α > 0 fills every lag and the build degrades to
+// the dense O(T²).
 //
 // Layout: the six series are interleaved in one flat SoA array, 8 lanes per
-// tick — [P₁,₃ P₁,₄ P₁,₅ pad P₂,₃ P₂,₄ P₂,₅ pad] — so the recursion's
-// convolution inner loop touches two contiguous 32-byte groups per lag and
-// autovectorizes; each series keeps its own accumulator, so per-series
-// summation order — and therefore every bit of the result — is identical to
-// SparseTrSolver::solve on the same model and horizon.
+// tick — [P₁,₃ P₁,₄ P₁,₅ pad P₂,₃ P₂,₄ P₂,₅ pad] — so each visited lag reads
+// one contiguous 64-byte row; each series keeps its own accumulator, fed in
+// ascending lag order, and every skipped lag would only have added an exact
+// +0.0, so every bit of the result is identical to SparseTrSolver::solve on
+// the same model and horizon.
 //
 // Crossover policy: a fresh build at T_max ≥ config.fft_crossover uses
 // FastTrSolver's O(n log² n) renewal path (agrees with the recursion to
@@ -75,20 +81,26 @@ class AbsorptionCurves {
  private:
   static constexpr std::size_t kLanes = 8;  // [P1,3 P1,4 P1,5 _ P2,3 P2,4 P2,5 _]
 
+  /// One cross-kernel lag: a12 = Q₁(2)·H₁,₂(lag), a21 = Q₂(1)·H₂,₁(lag)
+  /// (semi_markov.hpp convention), at least one of them nonzero.
+  struct Lag {
+    std::size_t lag;
+    double a12;
+    double a21;
+  };
+
   void compute_rows(std::size_t from_m, std::size_t to_m);
 
   std::size_t t_max_ = 0;
   std::size_t recursion_ticks_ = 0;
   /// Interleaved weighted direct-absorption pmfs, same 8-lane layout as p_,
-  /// stored over their full support only (wd_limit_ rows).
+  /// holding only the rows with a nonzero lane: stored row r is tick
+  /// wd_rows_[r] (ascending).
   std::vector<double> wd_;
-  std::size_t wd_limit_ = 0;
-  /// Cross-transition kernels a12/a21 (lag-indexed, semi_markov.hpp
-  /// convention), stored over their full support so extension never needs
-  /// the model again.
-  std::vector<double> a12_;
-  std::vector<double> a21_;
-  std::size_t kernel_limit_ = 0;
+  std::vector<std::size_t> wd_rows_;
+  /// Cross-transition kernels a12/a21 at the lags where either is nonzero,
+  /// ascending — kept so extension never needs the model again.
+  std::vector<Lag> kernel_;
   /// Running per-lane cumulative direct absorption at t_max_, carried so
   /// extend_to() resumes the recursion mid-stream.
   std::array<double, kLanes> cum_{};

@@ -33,6 +33,7 @@ void TransitionCounts::scan(std::span<const State> states, bool add) {
       --count;
     }
   };
+  if (n > 0 && is_available(states[0])) apply(initial_[index_of(states[0])]);
   while (i < n) {
     const State s = states[i];
     // The model's failure states are absorbing: for a guest, the window ends
@@ -78,6 +79,12 @@ std::uint32_t TransitionCounts::entries(State from) const {
   for (std::size_t to = 0; to < kStateCount; ++to)
     total += exits(from, state_from_index(to));
   return total;
+}
+
+State TransitionCounts::majority_initial_state() const {
+  return initial_[index_of(State::kS2)] > initial_[index_of(State::kS1)]
+             ? State::kS2
+             : State::kS1;
 }
 
 // ---------------------------------------------------------------------------
@@ -171,20 +178,6 @@ SmpModel SmpEstimator::estimate(const MachineTrace& trace,
   const std::vector<std::int64_t> days =
       training_days_for(trace, target_day, window);
   return build_model(count_transitions(trace, days, window));
-}
-
-State SmpEstimator::majority_initial_state(const MachineTrace& trace,
-                                           std::span<const std::int64_t> days,
-                                           const TimeWindow& window) const {
-  const StateClassifier classifier(config_.thresholds, trace.sampling_period());
-  std::size_t s1 = 0, s2 = 0;
-  for (const std::int64_t day : days) {
-    const std::vector<State> states = classifier.classify_window(trace, day, window);
-    if (states.empty()) continue;
-    if (states.front() == State::kS1) ++s1;
-    if (states.front() == State::kS2) ++s2;
-  }
-  return s2 > s1 ? State::kS2 : State::kS1;
 }
 
 }  // namespace fgcs

@@ -65,6 +65,11 @@ class TransitionCounts {
   /// All sojourns that started in `from` (completed + censored).
   std::uint32_t entries(State from) const;
 
+  /// Most frequent available state at the window start across the counted
+  /// windows (S1 when there is no data or a tie; empty windows count for
+  /// neither). Used as the default S_init.
+  State majority_initial_state() const;
+
  private:
   std::size_t slot(std::size_t from, std::size_t to, std::size_t hold) const {
     return (from * kStateCount + to) * horizon_ + (hold - 1);
@@ -77,6 +82,7 @@ class TransitionCounts {
   std::size_t horizon_;
   std::vector<std::uint32_t> counts_;          // 2·5·horizon
   std::array<std::uint32_t, 2> censored_{};    // per transient state
+  std::array<std::uint32_t, 2> initial_{};     // windows starting in S1/S2
 };
 
 class SmpEstimator {
@@ -99,7 +105,8 @@ class SmpEstimator {
                          const TimeWindow& window,
                          std::vector<std::int64_t>& out) const;
 
-  /// Counts sojourn statistics over explicit training days.
+  /// Counts sojourn statistics over explicit training days, classifying each
+  /// day's window once (the counts also carry the majority initial state).
   TransitionCounts count_transitions(const MachineTrace& trace,
                                      std::span<const std::int64_t> days,
                                      const TimeWindow& window) const;
@@ -110,12 +117,6 @@ class SmpEstimator {
   /// One-call estimation for (target_day, window) per the paper's rule.
   SmpModel estimate(const MachineTrace& trace, std::int64_t target_day,
                     const TimeWindow& window) const;
-
-  /// Most frequent available state at the window start across training days
-  /// (S1 when there is no data or a tie). Used as the default S_init.
-  State majority_initial_state(const MachineTrace& trace,
-                               std::span<const std::int64_t> days,
-                               const TimeWindow& window) const;
 
  private:
   EstimatorConfig config_;

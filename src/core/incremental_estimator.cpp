@@ -69,18 +69,6 @@ void IncrementalEstimator::rebuild(const MachineTrace& trace,
     count_if_eligible(trace, index, first_day_id + index);
 }
 
-State IncrementalEstimator::majority_initial_state() const {
-  // Same rule (and tie-break) as SmpEstimator::majority_initial_state over
-  // the same selected days, read from the cached classifications.
-  std::size_t s1 = 0, s2 = 0;
-  for (const CountedDay& day : days_) {
-    if (day.states.empty()) continue;
-    if (day.states.front() == State::kS1) ++s1;
-    if (day.states.front() == State::kS2) ++s2;
-  }
-  return s2 > s1 ? State::kS2 : State::kS1;
-}
-
 std::vector<std::int64_t> IncrementalEstimator::counted_day_ids() const {
   std::vector<std::int64_t> ids;
   ids.reserve(days_.size());

@@ -83,9 +83,11 @@ class IncrementalEstimator {
   /// bit-identical to the from-scratch estimate (see the header comment).
   SmpModel model() const { return estimator_.build_model(counts_); }
 
-  /// Majority available state at the window start over the counted days,
-  /// same tie-breaking as SmpEstimator::majority_initial_state.
-  State majority_initial_state() const;
+  /// Majority available state at the window start over the counted days
+  /// (TransitionCounts::majority_initial_state of the maintained counts).
+  State majority_initial_state() const {
+    return counts_.majority_initial_state();
+  }
 
   const TransitionCounts& counts() const { return counts_; }
   std::size_t counted_days() const { return days_.size(); }

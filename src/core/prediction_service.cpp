@@ -150,7 +150,7 @@ Prediction PredictionService::predict(const MachineTrace& trace,
     const TransitionCounts counts =
         estimator_.count_transitions(trace, days, request.window);
     model = std::make_shared<const SmpModel>(estimator_.build_model(counts));
-    majority = estimator_.majority_initial_state(trace, days, request.window);
+    majority = counts.majority_initial_state();
     estimate_seconds = span.finish();
   }
 

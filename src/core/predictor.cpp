@@ -58,8 +58,7 @@ Prediction AvailabilityPredictor::predict(const MachineTrace& trace,
   const SmpModel model = estimator_.build_model(counts);
   prediction.training_days_used = days.size();
   prediction.initial_state =
-      request.initial_state.value_or(
-          estimator_.majority_initial_state(trace, days, request.window));
+      request.initial_state.value_or(counts.majority_initial_state());
   FGCS_REQUIRE_MSG(is_available(prediction.initial_state),
                    "initial state must be S1 or S2");
   prediction.estimate_seconds = seconds_since(t0);

@@ -22,12 +22,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// poll() timeout until `deadline`: whole milliseconds rounded UP (a
+/// truncated wait could wake just before the deadline), at least 1 and at
+/// most 60 s.
 int remaining_ms(Clock::time_point deadline) {
   const auto left =
-      std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                            Clock::now())
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
           .count();
-  return left <= 0 ? 0 : static_cast<int>(std::min<long long>(left, 60'000));
+  return static_cast<int>(std::clamp<long long>(left, 1, 60'000));
 }
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -409,21 +411,19 @@ void PredictionClient::wait_io(bool for_write, Clock::time_point deadline,
   pfd.fd = fd_;
   pfd.events = static_cast<short>(for_write ? POLLOUT : POLLIN);
   for (;;) {
-    const int timeout = remaining_ms(deadline);
-    if (timeout == 0)
+    // Only the clock ends the wait: a poll() that returns 0 early (coarse
+    // timer, clock skew between poll and steady_clock) just polls again.
+    if (Clock::now() >= deadline)
       throw DataError(std::string("net client: timed out waiting for ") +
                       what);
-    const int ready = ::poll(&pfd, 1, timeout);
+    const int ready = ::poll(&pfd, 1, remaining_ms(deadline));
     if (ready > 0) {
       if (pfd.revents & (POLLERR | POLLNVAL))
         throw DataError(std::string("net client: socket error during ") +
                         what);
       return;  // readable/writable (POLLHUP still lets read() see EOF)
     }
-    if (ready == 0)
-      throw DataError(std::string("net client: timed out waiting for ") +
-                      what);
-    if (errno != EINTR) throw_errno("poll");
+    if (ready < 0 && errno != EINTR) throw_errno("poll");
   }
 }
 

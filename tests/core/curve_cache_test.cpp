@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/estimator.hpp"
 #include "core/predictor.hpp"
 #include "core/sparse_solver.hpp"
 #include "test_support.hpp"
@@ -18,6 +19,47 @@ void expect_identical(const SparseTrSolver::Result& a,
                       const SparseTrSolver::Result& b) {
   EXPECT_EQ(a.temporal_reliability, b.temporal_reliability);
   EXPECT_EQ(a.p_absorb, b.p_absorb);
+}
+
+constexpr std::size_t kS1 = index_of(State::kS1);
+constexpr std::size_t kS2 = index_of(State::kS2);
+constexpr std::size_t kS3 = index_of(State::kS3);
+constexpr std::size_t kS4 = index_of(State::kS4);
+constexpr std::size_t kS5 = index_of(State::kS5);
+
+/// A holding-time pmf of length `horizon` with mass only at the given
+/// (1-based) hold lengths.
+std::vector<double> pmf_at(std::size_t horizon,
+                           std::initializer_list<std::pair<std::size_t, double>>
+                               mass) {
+  std::vector<double> pmf(horizon, 0.0);
+  for (const auto& [hold, p] : mass) pmf[hold - 1] = p;
+  return pmf;
+}
+
+/// Every horizon 0..t_max of a table built at `t_max`, then of the same
+/// table after extend_to(3·t_max + 1), against fresh SparseTrSolver solves:
+/// both initial states, every bit.
+void expect_matches_solver_at(const SmpModel& model,
+                              std::initializer_list<std::size_t> t_maxes) {
+  const SparseTrSolver solver(model);
+  for (const std::size_t t_max : t_maxes) {
+    AbsorptionCurves curves(model, t_max);
+    for (const bool extended : {false, true}) {
+      if (extended) curves.extend_to(3 * t_max + 1);
+      for (std::size_t n = 0; n <= curves.t_max(); ++n)
+        for (const State init : {State::kS1, State::kS2}) {
+          const auto got = curves.result_at(init, n);
+          const auto want = solver.solve(init, n);
+          EXPECT_EQ(got.temporal_reliability, want.temporal_reliability)
+              << "t_max=" << t_max << " extended=" << extended << " n=" << n
+              << " init=" << to_string(init);
+          EXPECT_EQ(got.p_absorb, want.p_absorb)
+              << "t_max=" << t_max << " extended=" << extended << " n=" << n
+              << " init=" << to_string(init);
+        }
+    }
+  }
 }
 
 TEST(CurveCacheTest, RejectsWrongStateCount) {
@@ -201,6 +243,134 @@ TEST(CurveCacheTest, FftBuiltTableExtendsViaDirectRecursion) {
         EXPECT_NEAR(curves.probability(init, jj, m),
                     direct.probability(init, jj, m), 1e-9)
             << "m=" << m;
+}
+
+// The builder visits only nonzero kernel lags and nonzero direct-absorption
+// rows. The cases below pin the supports where that bookkeeping can slip.
+
+TEST(CurveCacheTest, DisjointCrossKernelSupportsStayBitIdentical) {
+  SmpModel model(kStateCount, 12);
+  model.set_q(kS1, kS2, 0.5);
+  model.set_h_pmf(kS1, kS2, pmf_at(12, {{2, 0.4}, {5, 0.6}}));
+  model.set_q(kS2, kS1, 0.6);
+  model.set_h_pmf(kS2, kS1, pmf_at(12, {{3, 0.7}, {7, 0.3}}));
+  model.set_q(kS1, kS3, 0.3);
+  model.set_h_pmf(kS1, kS3, pmf_at(12, {{4, 1.0}}));
+  model.set_q(kS1, kS5, 0.2);
+  model.set_h_pmf(kS1, kS5, pmf_at(12, {{1, 0.5}, {9, 0.5}}));
+  model.set_q(kS2, kS4, 0.4);
+  model.set_h_pmf(kS2, kS4, pmf_at(12, {{6, 1.0}}));
+  expect_matches_solver_at(model, {1, 5, 12, 20});
+}
+
+TEST(CurveCacheTest, LagAtLastPmfIndexIsVisited) {
+  SmpModel model(kStateCount, 8);
+  model.set_q(kS1, kS2, 0.7);
+  model.set_h_pmf(kS1, kS2, pmf_at(8, {{8, 1.0}}));
+  model.set_q(kS2, kS1, 0.5);
+  model.set_h_pmf(kS2, kS1, pmf_at(8, {{1, 0.5}, {8, 0.5}}));
+  model.set_q(kS1, kS3, 0.3);
+  model.set_h_pmf(kS1, kS3, pmf_at(8, {{8, 1.0}}));
+  model.set_q(kS2, kS5, 0.5);
+  model.set_h_pmf(kS2, kS5, pmf_at(8, {{8, 1.0}}));
+  expect_matches_solver_at(model, {7, 8, 9, 16});
+}
+
+TEST(CurveCacheTest, LagsAtOrBeyondTheRequestedHorizon) {
+  // Every kernel term sits at lag 10: tables built to 3 or 9 ticks hold no
+  // cross term at all, one built to 10 only the direct step, and extension
+  // must bring the lag-10 terms in exactly where the solver does.
+  SmpModel model(kStateCount, 10);
+  model.set_q(kS1, kS2, 0.6);
+  model.set_h_pmf(kS1, kS2, pmf_at(10, {{10, 1.0}}));
+  model.set_q(kS2, kS1, 0.6);
+  model.set_h_pmf(kS2, kS1, pmf_at(10, {{10, 1.0}}));
+  model.set_q(kS1, kS4, 0.4);
+  model.set_h_pmf(kS1, kS4, pmf_at(10, {{10, 1.0}}));
+  model.set_q(kS2, kS3, 0.4);
+  model.set_h_pmf(kS2, kS3, pmf_at(10, {{10, 1.0}}));
+  expect_matches_solver_at(model, {3, 9, 10, 11});
+}
+
+TEST(CurveCacheTest, OneEmptyCrossKernel) {
+  // q(S1,S2) = 0: S1 never reaches S2, while S2 still crosses back to S1.
+  SmpModel model(kStateCount, 9);
+  model.set_q(kS2, kS1, 0.5);
+  model.set_h_pmf(kS2, kS1, pmf_at(9, {{2, 0.5}, {6, 0.5}}));
+  model.set_q(kS1, kS3, 0.6);
+  model.set_h_pmf(kS1, kS3, pmf_at(9, {{3, 0.25}, {9, 0.75}}));
+  model.set_q(kS2, kS5, 0.5);
+  model.set_h_pmf(kS2, kS5, pmf_at(9, {{4, 1.0}}));
+  expect_matches_solver_at(model, {2, 9, 15});
+}
+
+TEST(CurveCacheTest, DirectPmfWithGaps) {
+  SmpModel model(kStateCount, 7);
+  model.set_q(kS1, kS2, 0.25);
+  model.set_h_pmf(kS1, kS2, pmf_at(7, {{3, 1.0}}));
+  model.set_q(kS2, kS1, 0.3);
+  model.set_h_pmf(kS2, kS1, pmf_at(7, {{1, 1.0}}));
+  model.set_q(kS1, kS3, 0.75);
+  model.set_h_pmf(kS1, kS3, {0.0, 0.3, 0.0, 0.0, 0.2, 0.0, 0.5});
+  model.set_q(kS2, kS4, 0.7);
+  model.set_h_pmf(kS2, kS4, {0.0, 0.0, 0.0, 0.6, 0.0, 0.4});
+  expect_matches_solver_at(model, {1, 4, 7, 13});
+}
+
+TEST(CurveCacheTest, FullyDenseKernelFromLaplaceSmoothing) {
+  // laplace_alpha = 1 gives every unobserved transition a uniform pmf, so
+  // both cross kernels are nonzero at every lag: the dense worst case.
+  constexpr std::size_t kHorizon = 24;
+  TransitionCounts counts(kHorizon);
+  std::vector<State> window(kHorizon + 1, State::kS1);
+  for (std::size_t i = 9; i < window.size(); ++i) window[i] = State::kS3;
+  counts.accumulate(window);
+  std::fill(window.begin(), window.end(), State::kS2);
+  window[17] = State::kS5;
+  counts.accumulate(window);
+  const SmpModel model =
+      SmpEstimator(EstimatorConfig{.laplace_alpha = 1.0}).build_model(counts);
+  ASSERT_GT(model.q(kS1, kS2), 0.0);
+  for (std::size_t l = 1; l <= kHorizon; ++l) {
+    ASSERT_GT(model.h(kS1, kS2, l), 0.0) << "lag " << l;
+    ASSERT_GT(model.h(kS2, kS1, l), 0.0) << "lag " << l;
+  }
+  expect_matches_solver_at(model, {1, 12, 24, 40});
+}
+
+TEST(CurveCacheTest, FftBuiltTableSeedsExtensionFromCompactRows) {
+  // Direct-absorption rows straddle the FFT build horizon (64): rows 20 and
+  // 64 must be in the seeded running sums, rows 90 and 150 must not. With
+  // no cross kernel, an extended row is exactly that running sum plus the
+  // rows since — bit-identical to the solver's cumulative sum.
+  SmpModel model(kStateCount, 160);
+  model.set_q(kS1, kS3, 0.5);
+  model.set_h_pmf(kS1, kS3, pmf_at(160, {{20, 0.5}, {90, 0.5}}));
+  model.set_q(kS1, kS5, 0.25);
+  model.set_h_pmf(kS1, kS5, pmf_at(160, {{64, 1.0}}));
+  model.set_q(kS2, kS4, 0.75);
+  model.set_h_pmf(kS2, kS4, pmf_at(160, {{60, 0.5}, {150, 0.5}}));
+  AbsorptionCurves curves(model, 64, CurveConfig{.fft_crossover = 32});
+  curves.extend_to(200);
+  const SparseTrSolver solver(model);
+  for (std::size_t n = 65; n <= curves.t_max(); ++n)
+    for (const State init : {State::kS1, State::kS2})
+      expect_identical(curves.result_at(init, n), solver.solve(init, n));
+
+  // With the cross kernels back in, the FFT prefix is no longer exact, so
+  // the extension agrees to the FFT's tolerance instead.
+  model.set_q(kS1, kS2, 0.25);
+  model.set_h_pmf(kS1, kS2, pmf_at(160, {{5, 0.5}, {70, 0.5}}));
+  model.set_q(kS2, kS1, 0.25);
+  model.set_h_pmf(kS2, kS1, pmf_at(160, {{33, 1.0}}));
+  AbsorptionCurves coupled(model, 64, CurveConfig{.fft_crossover = 32});
+  coupled.extend_to(200);
+  const SparseTrSolver coupled_solver(model);
+  for (std::size_t n = 0; n <= coupled.t_max(); ++n)
+    for (const State init : {State::kS1, State::kS2})
+      EXPECT_NEAR(coupled.result_at(init, n).temporal_reliability,
+                  coupled_solver.solve(init, n).temporal_reliability, 1e-9)
+          << "n=" << n << " init=" << to_string(init);
 }
 
 TEST(CurveCacheTest, SolveFromCurvesExtendsOnDemand) {

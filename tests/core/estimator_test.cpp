@@ -157,10 +157,14 @@ TEST(EstimatorTest, MajorityInitialState) {
   const SmpEstimator estimator;
   const TimeWindow w{.start_of_day = 0, .length = kSecondsPerHour};
   const std::vector<std::int64_t> s2_majority{1, 2, 3};
-  EXPECT_EQ(estimator.majority_initial_state(trace, s2_majority, w), State::kS2);
+  EXPECT_EQ(estimator.count_transitions(trace, s2_majority, w)
+                .majority_initial_state(),
+            State::kS2);
   const std::vector<std::int64_t> tie{0, 1};
-  EXPECT_EQ(estimator.majority_initial_state(trace, tie, w), State::kS1);
-  EXPECT_EQ(estimator.majority_initial_state(trace, {}, w), State::kS1);
+  EXPECT_EQ(estimator.count_transitions(trace, tie, w).majority_initial_state(),
+            State::kS1);
+  EXPECT_EQ(estimator.count_transitions(trace, {}, w).majority_initial_state(),
+            State::kS1);
 }
 
 TEST(EstimatorTest, RejectsNegativeAlpha) {

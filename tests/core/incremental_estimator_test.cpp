@@ -121,8 +121,7 @@ void expect_differential(const TraceStore& store, const std::string& id,
   expect_models_bit_identical(got_model, want_model);
 
   const State init = incremental.majority_initial_state();
-  EXPECT_EQ(init,
-            scratch.majority_initial_state(*snap, days, incremental.window()));
+  EXPECT_EQ(init, want.majority_initial_state());
 
   const std::size_t steps =
       incremental.window().steps(snap->sampling_period());

@@ -209,6 +209,28 @@ TEST(NetClient, SilentServerTriggersRequestTimeout) {
   EXPECT_LT(elapsed, 2.0);
 }
 
+// A wait that rounds the remaining time down can wake a fraction of a
+// millisecond before the deadline and give up there; repeat a short timeout
+// so that early exit, when present, shows up on some attempt.
+TEST(NetClient, EveryShortTimeoutAttemptWaitsItsFullTimeout) {
+  const auto black_hole = [](int fd) {
+    read_frame_blocking(fd);
+    char sink;
+    (void)!::read(fd, &sink, 1);
+  };
+  FakeServer server({black_hole});
+  ClientConfig config = quick_config(server.port(), 1);
+  config.request_timeout = 0.015;
+  const WireRequestItem item = any_item();
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    PredictionClient client(config);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_THROW(client.predict_batch({&item, 1}), DataError);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_GE(elapsed, std::chrono::milliseconds(15)) << "attempt " << attempt;
+  }
+}
+
 TEST(NetClient, ResponseCountMismatchIsAProtocolErrorAndRetried) {
   const auto wrong_count = [](int fd) {
     read_frame_blocking(fd);

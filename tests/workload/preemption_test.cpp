@@ -248,8 +248,9 @@ TEST(PreemptionGeneratorTest, IncrementalEstimatorMatchesScratchBitForBit) {
   while (full.day_type(target) != type) ++target;
   const std::vector<std::int64_t> days =
       scratch.training_days_for(full, target, window);
-  const SmpModel want = scratch.build_model(
-      scratch.count_transitions(full, days, window));
+  const TransitionCounts want_counts =
+      scratch.count_transitions(full, days, window);
+  const SmpModel want = scratch.build_model(want_counts);
   const SmpModel got = incremental.model();
 
   ASSERT_EQ(got.horizon(), want.horizon());
@@ -271,7 +272,7 @@ TEST(PreemptionGeneratorTest, IncrementalEstimatorMatchesScratchBitForBit) {
     }
   }
   EXPECT_EQ(incremental.majority_initial_state(),
-            scratch.majority_initial_state(full, days, window));
+            want_counts.majority_initial_state());
 }
 
 }  // namespace

@@ -12,6 +12,10 @@
 // and verifies that all three return identical TR values. Acceptance target:
 // warm batch ≥ 5× faster than per-call on the 20-machine fleet.
 //
+// A last table times the second initial state on a warm entry (an S2 query
+// on an entry an S1 query filled) against constructing a solver and solving
+// S2 directly; target ≥ 4×, TRs bit-identical.
+//
 // A second table isolates dispatch overhead: the same warm-cache predict
 // body fanned out by the retired spawn-per-call parallel_for versus the
 // persistent work-stealing pool, at batch sizes 1/20/200 with width forced
@@ -108,8 +112,7 @@ int main() {
 
     const ServiceStats stats = service.stats();
     const double hit_rate =
-        static_cast<double>(stats.hits + stats.partial_hits) /
-        static_cast<double>(stats.lookups);
+        static_cast<double>(stats.hits) / static_cast<double>(stats.lookups);
     table.add_row({std::to_string(machines), std::to_string(requests.size()),
                    Table::num(1e3 * percall_s), Table::num(1e3 * cold_s),
                    Table::num(1e3 * warm_s), Table::num(percall_s / cold_s, 1),
@@ -152,12 +155,13 @@ int main() {
     dispatch.print(std::cout);
   }
 
-  // Partial-hit latency: the model is warm but the requested initial state
-  // has no cached Prediction yet. The old path constructed a SparseTrSolver
-  // (re-running SmpModel::validate) and re-ran the O(n²) recursion; the
-  // entry's precomputed absorption curves turn the same query into an O(1)
-  // table read. Baseline reproduces the old work against the same models.
-  double partial_speedup = 0.0;
+  // Second initial state on a warm entry: the entry was filled by an S1
+  // query and is now asked for S2. The miss already solved both initial
+  // states from one curve build, so the S2 query is a hit that copies the
+  // stored Prediction. Baseline: what an S2 answer costs without the cache —
+  // constructing a SparseTrSolver (re-running SmpModel::validate) and
+  // running the recursion, against the same models.
+  double second_init_speedup = 0.0;
   {
     const std::vector<MachineTrace> fleet = bench::lab_fleet(20, kDays);
     const TimeWindow window{.start_of_day = 8 * kSecondsPerHour,
@@ -173,10 +177,10 @@ int main() {
     constexpr int kReps = 20;
     double old_s = 0.0, new_s = 0.0, sink_old = 0.0, sink_new = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-      // Fresh service per rep so every S2 query is a genuine partial hit
-      // (the hit it becomes afterwards is the previous table's row).
+      // Fresh service per rep so every timed S2 query is the first S2
+      // lookup of an entry an S1 query filled.
       PredictionService service(ServiceConfig{.estimator = estimator});
-      for (const MachineTrace& trace : fleet) {  // warm the models, untimed
+      for (const MachineTrace& trace : fleet) {  // fill the entries, untimed
         PredictionRequest request{.target_day = trace.day_count(),
                                   .window = window};
         request.initial_state = State::kS1;
@@ -199,15 +203,16 @@ int main() {
       old_s += seconds_since(t1);
     }
     all_identical = all_identical && sink_old == sink_new;
-    partial_speedup = old_s / new_s;
+    second_init_speedup = old_s / new_s;
 
-    std::cout << "\npartial hit (warm model, un-solved initial state):\n";
-    Table partial({"queries", "old_path_us", "curve_read_us", "x"});
+    std::cout << "\nsecond initial state on a warm entry (filled by S1, "
+                 "asked for S2):\n";
+    Table second({"queries", "construct_solve_us", "warm_entry_us", "x"});
     const double q = static_cast<double>(kReps) * 20.0;
-    partial.add_row({std::to_string(static_cast<int>(q)),
-                     Table::num(1e6 * old_s / q), Table::num(1e6 * new_s / q),
-                     Table::num(partial_speedup, 1)});
-    partial.print(std::cout);
+    second.add_row({std::to_string(static_cast<int>(q)),
+                    Table::num(1e6 * old_s / q), Table::num(1e6 * new_s / q),
+                    Table::num(second_init_speedup, 1)});
+    second.print(std::cout);
   }
 
   std::cout << "\nTR values identical across per-call/cold/warm: "
@@ -215,10 +220,10 @@ int main() {
   std::cout << "warm batch speedup at 20 machines: " << Table::num(warm_speedup_20, 1)
             << "x (target >= 5x): "
             << (warm_speedup_20 >= 5.0 ? "PASS" : "FAIL") << "\n";
-  std::cout << "partial-hit speedup vs construct+solve: "
-            << Table::num(partial_speedup, 1) << "x (target >= 4x): "
-            << (partial_speedup >= 4.0 ? "PASS" : "FAIL") << "\n";
-  return all_identical && warm_speedup_20 >= 5.0 && partial_speedup >= 4.0
+  std::cout << "second-initial-state speedup vs construct+solve: "
+            << Table::num(second_init_speedup, 1) << "x (target >= 4x): "
+            << (second_init_speedup >= 4.0 ? "PASS" : "FAIL") << "\n";
+  return all_identical && warm_speedup_20 >= 5.0 && second_init_speedup >= 4.0
              ? 0
              : 1;
 }

@@ -6,7 +6,7 @@
 //                  SparseTrSolver::solve at the same T. The solver runs the
 //                  dense O(T²) recursion; the table visits only the k nonzero
 //                  cross-kernel lags, O(T·k), and serves BOTH initial states
-//                  and every horizon ≤ T afterwards. Side by side: the
+//                  at every horizon ≤ T. Side by side: the
 //                  estimated model (empirical pmfs, k = observed hold
 //                  lengths) and a laplace_alpha = 1 model with no observed
 //                  transitions, whose uniform pmfs fill every lag — the
@@ -16,7 +16,7 @@
 //                  and re-run the recursion). Acceptance gate: curves ≥ 4×.
 //   fleet probe  : a 1000-machine scheduler placement probe through
 //                  PredictionService, cold then warm, with the warm pass
-//                  answered entirely from cached curves.
+//                  answered entirely from cached Predictions.
 //
 // All compared paths must produce bit-identical TR values; any divergence
 // fails the run.

@@ -118,7 +118,7 @@ int main() {
   const double hit_rate =
       stats.lookups == 0
           ? 0.0
-          : 100.0 * static_cast<double>(stats.hits + stats.partial_hits) /
+          : 100.0 * static_cast<double>(stats.hits) /
                 static_cast<double>(stats.lookups);
   std::printf(
       "prediction svc : %llu queries (%llu batches, max %llu), "

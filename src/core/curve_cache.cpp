@@ -1,8 +1,8 @@
 #include "core/curve_cache.hpp"
 
 #include <algorithm>
+#include <array>
 
-#include "core/fast_solver.hpp"
 #include "util/error.hpp"
 
 namespace fgcs {
@@ -12,10 +12,18 @@ namespace {
 constexpr std::size_t kS1 = index_of(State::kS1);
 constexpr std::size_t kS2 = index_of(State::kS2);
 
+/// One cross-kernel lag: a12 = Q₁(2)·H₁,₂(lag), a21 = Q₂(1)·H₂,₁(lag)
+/// (semi_markov.hpp convention), at least one of them nonzero.
+struct Lag {
+  std::size_t lag;
+  double a12;
+  double a21;
+};
+
 }  // namespace
 
-AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
-                                   CurveConfig config) {
+AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max)
+    : t_max_(t_max) {
   FGCS_REQUIRE_MSG(model.n_states() == kStateCount,
                    "AbsorptionCurves requires the 5-state FGCS model");
   model.validate();
@@ -26,16 +34,16 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
 
   // Cross-transition kernels a12/a21 at the lags where either is nonzero: a
   // lag zero in both adds exact +0.0s to non-negative accumulators, so
-  // skipping it changes no bit. Stored once: extension re-reads these, never
-  // the model.
+  // skipping it changes no bit.
   const std::size_t kernel_limit = std::max(model.h_pmf(kS1, kS2).size(),
                                             model.h_pmf(kS2, kS1).size());
   const std::vector<double> a12 =
       weighted_holding_pmf(model, kS1, kS2, kernel_limit);
   const std::vector<double> a21 =
       weighted_holding_pmf(model, kS2, kS1, kernel_limit);
+  std::vector<Lag> kernel;
   for (std::size_t l = 1; l <= kernel_limit; ++l)
-    if (a12[l] != 0.0 || a21[l] != 0.0) kernel_.push_back({l, a12[l], a21[l]});
+    if (a12[l] != 0.0 || a21[l] != 0.0) kernel.push_back({l, a12[l], a21[l]});
 
   // The six weighted direct-absorption pmfs, interleaved into the same
   // 8-lane layout as the curves; only rows with a nonzero lane are kept, so
@@ -49,55 +57,34 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
     for (std::size_t row = 0; row < 2; ++row)
       lanes[4 * row + jj] = weighted_holding_pmf(
           model, row == 0 ? kS1 : kS2, index_of(kFailureStates[jj]), wd_limit);
+  std::vector<double> wd;             // stored row r is tick wd_rows[r]
+  std::vector<std::size_t> wd_rows;   // ascending
   for (std::size_t m = 1; m <= wd_limit; ++m) {
     std::array<double, kLanes> row{};
     for (std::size_t lane = 0; lane < kLanes; ++lane)
       if (!lanes[lane].empty()) row[lane] = lanes[lane][m];
     if (std::all_of(row.begin(), row.end(), [](double v) { return v == 0.0; }))
       continue;
-    wd_rows_.push_back(m);
-    wd_.insert(wd_.end(), row.begin(), row.end());
+    wd_rows.push_back(m);
+    wd.insert(wd.end(), row.begin(), row.end());
   }
 
-  p_.assign(kLanes, 0.0);  // row 0: nothing absorbed in zero ticks
-  if (t_max > 0 && t_max >= config.fft_crossover) {
-    // Large fresh build: one O(n log² n) FFT pass instead of n recursion
-    // ticks.
-    const SparseTrSolver::Series series =
-        FastTrSolver(model).solve_series(t_max);
-    p_.assign((t_max + 1) * kLanes, 0.0);
-    for (std::size_t m = 0; m <= t_max; ++m)
-      for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj) {
-        p_[m * kLanes + jj] = series[0][jj][m];
-        p_[m * kLanes + 4 + jj] = series[1][jj][m];
-      }
-    // Seed the running cumulative sums so extend_to() can resume the direct
-    // recursion from t_max.
-    for (std::size_t r = 0; r < wd_rows_.size() && wd_rows_[r] <= t_max; ++r)
+  // Row 0 is all zeros: nothing is absorbed in zero ticks.
+  p_.assign((t_max + 1) * kLanes, 0.0);
+  std::array<double, kLanes> cum{};  // per-lane cumulative direct absorption
+  std::size_t r = 0;                 // next stored direct-absorption row
+  for (std::size_t m = 1; m <= t_max; ++m) {
+    if (r < wd_rows.size() && wd_rows[r] == m) {
+      const double* direct = &wd[r++ * kLanes];
       for (std::size_t lane = 0; lane < kLanes; ++lane)
-        cum_[lane] += wd_[r * kLanes + lane];
-    t_max_ = t_max;
-  } else {
-    extend_to(t_max);
-  }
-}
-
-void AbsorptionCurves::compute_rows(std::size_t from_m, std::size_t to_m) {
-  // Next stored direct-absorption row at or after from_m.
-  std::size_t r = static_cast<std::size_t>(
-      std::lower_bound(wd_rows_.begin(), wd_rows_.end(), from_m) -
-      wd_rows_.begin());
-  for (std::size_t m = from_m; m <= to_m; ++m) {
-    if (r < wd_rows_.size() && wd_rows_[r] == m) {
-      const double* wd = &wd_[r++ * kLanes];
-      for (std::size_t lane = 0; lane < kLanes; ++lane) cum_[lane] += wd[lane];
+        cum[lane] += direct[lane];
     }
     // One accumulator per series, fed in ascending lag order: per-series
     // summation order matches SparseTrSolver's scalar recursion, and the
     // lags skipped (zero weight, or ≥ m) only ever add exact zeros there,
     // so every produced double is bit-identical.
     double acc[kLanes] = {};
-    for (const Lag& k : kernel_) {
+    for (const Lag& k : kernel) {
       if (k.lag >= m) break;
       const double* prev = &p_[(m - k.lag) * kLanes];
       for (std::size_t jj = 0; jj < 3; ++jj) acc[jj] += k.a12 * prev[4 + jj];
@@ -105,25 +92,15 @@ void AbsorptionCurves::compute_rows(std::size_t from_m, std::size_t to_m) {
     }
     double* row = &p_[m * kLanes];
     for (std::size_t lane = 0; lane < kLanes; ++lane)
-      row[lane] = cum_[lane] + acc[lane];
+      row[lane] = cum[lane] + acc[lane];
   }
-  recursion_ticks_ += to_m - from_m + 1;
-}
-
-void AbsorptionCurves::extend_to(std::size_t n_steps) {
-  if (n_steps <= t_max_) return;
-  const std::size_t target = std::max(n_steps, t_max_ * 2);
-  p_.resize((target + 1) * kLanes, 0.0);
-  compute_rows(t_max_ + 1, target);
-  t_max_ = target;
 }
 
 SparseTrSolver::Result AbsorptionCurves::result_at(State init,
                                                    std::size_t n_steps) const {
   FGCS_REQUIRE_MSG(is_available(init),
                    "temporal reliability is defined for available initial states");
-  FGCS_REQUIRE_MSG(n_steps <= t_max_,
-                   "window beyond the tabulated horizon; extend_to() first");
+  FGCS_REQUIRE_MSG(n_steps <= t_max_, "window beyond the tabulated horizon");
   const double* row = &p_[n_steps * kLanes + 4 * index_of(init)];
   SparseTrSolver::Result result;
   double absorbed = 0.0;

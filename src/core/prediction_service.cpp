@@ -4,7 +4,7 @@
 #include <chrono>
 #include <thread>
 
-#include "core/sparse_solver.hpp"
+#include "core/curve_cache.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/parallel.hpp"
@@ -46,8 +46,6 @@ PredictionService::PredictionService(ServiceConfig config)
   metrics_attachments_.push_back(
       registry.attach("service.lookups.total", lookups_));
   metrics_attachments_.push_back(registry.attach("service.hits.total", hits_));
-  metrics_attachments_.push_back(
-      registry.attach("service.partial_hits.total", partial_hits_));
   metrics_attachments_.push_back(
       registry.attach("service.misses.total", misses_));
   metrics_attachments_.push_back(
@@ -107,74 +105,65 @@ Prediction PredictionService::predict(const MachineTrace& trace,
                 trace.day_type(request.target_day),
                 request.window.start_of_day, request.window.length};
   // The training-day rule is cheap (a day-index scan) and is re-run on every
-  // lookup: a cached model is reused only when it was estimated from exactly
-  // the days the rule selects now, so staleness can never change a result.
+  // lookup: cached answers are reused only when they were estimated from
+  // exactly the days the rule selects now, so staleness can never change a
+  // result.
   // The day list lands in a per-worker buffer — a fleet probe of thousands
   // of machines allocates it once per worker, not once per request.
   static thread_local std::vector<std::int64_t> days;
   estimator_.training_days_for(trace, request.target_day, request.window, days);
   const std::size_t steps = request.window.steps(trace.sampling_period());
   Shard& shard = shard_for(key);
-
-  std::shared_ptr<const SmpModel> model;
-  std::shared_ptr<const AbsorptionCurves> curves;
-  State majority = State::kS1;
-  double estimate_seconds = 0.0;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.index.find(key);
     if (it != shard.index.end()) {
-      Entry& entry = it->second->second;
+      const Entry& entry = it->second->second;
       if (entry.training_days == days) {
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        const State init = resolve_initial(request, entry.majority_initial);
-        if (entry.solved[index_of(init)]) {
-          hits_.add();
-          return *entry.solved[index_of(init)];
-        }
-        model = entry.model;
-        curves = entry.curves;
-        majority = entry.majority_initial;
-        estimate_seconds = entry.estimate_seconds;
-      } else {
-        stale_drops_.add();
-        shard.lru.erase(it->second);
-        shard.index.erase(it);
+        hits_.add();
+        return entry.by_init[index_of(
+            resolve_initial(request, entry.majority_initial))];
       }
+      stale_drops_.add();
+      shard.lru.erase(it->second);
+      shard.index.erase(it);
     }
   }
 
-  const bool model_was_cached = model != nullptr;
-  if (!model_was_cached) {
-    TraceSpan span("service.estimate", &estimate_hist_);
+  // Miss: estimate, then one Eq. 3 build answers both initial states at the
+  // window's horizon. The model and the curve table die with this scope;
+  // only the answers are cached.
+  Entry entry;
+  entry.training_days = days;
+  TraceSpan estimate_span("service.estimate", &estimate_hist_);
+  const SmpModel model = [&] {
     const TransitionCounts counts =
         estimator_.count_transitions(trace, days, request.window);
-    model = std::make_shared<const SmpModel>(estimator_.build_model(counts));
-    majority = counts.majority_initial_state();
-    estimate_seconds = span.finish();
-  }
-
-  Prediction prediction;
-  prediction.steps = steps;
-  prediction.training_days_used = days.size();
-  prediction.initial_state = resolve_initial(request, majority);
-  prediction.estimate_seconds = estimate_seconds;
+    entry.majority_initial = counts.majority_initial_state();
+    return estimator_.build_model(counts);
+  }();
+  const double estimate_seconds = estimate_span.finish();
+  const State init = resolve_initial(request, entry.majority_initial);
 
   TraceSpan solve_span("service.solve", &solve_hist_);
-  if (curves == nullptr || steps > curves->t_max()) {
-    // Cache miss: run the Eq. 3 recursion once, tabulating both initial
-    // states up to the window horizon (validation happens here, in the
-    // curves constructor — the only validate() on the entry's lifetime).
-    // The t_max guard is defense in depth: the key pins window_length, so a
-    // cached table always covers the horizon that keyed it.
-    curves = std::make_shared<const AbsorptionCurves>(*model, steps);
+  const AbsorptionCurves curves(model, steps);  // the one validate()
+  for (const State state : {State::kS1, State::kS2}) {
+    const SparseTrSolver::Result result = curves.result_at(state, steps);
+    Prediction& prediction = entry.by_init[index_of(state)];
+    prediction.temporal_reliability = result.temporal_reliability;
+    prediction.initial_state = state;
+    prediction.p_absorb = result.p_absorb;
+    prediction.training_days_used = days.size();
+    prediction.steps = steps;
   }
-  const SparseTrSolver::Result result =
-      curves->result_at(prediction.initial_state, steps);
-  prediction.solve_seconds = solve_span.finish();
-  prediction.temporal_reliability = result.temporal_reliability;
-  prediction.p_absorb = result.p_absorb;
-  (model_was_cached ? partial_hits_ : misses_).add();
+  const double solve_seconds = solve_span.finish();
+  for (Prediction& prediction : entry.by_init) {
+    prediction.estimate_seconds = estimate_seconds;
+    prediction.solve_seconds = solve_seconds;
+  }
+  misses_.add();
+  const Prediction prediction = entry.by_init[index_of(init)];
 
   // Chaos hook for the invalidate-vs-insert race below: forces an
   // invalidation to land exactly between the compute phase and the insert
@@ -192,28 +181,17 @@ Prediction PredictionService::predict(const MachineTrace& trace,
       stale_drops_.add();
       return prediction;
     }
-    auto it = shard.index.find(key);
+    const auto it = shard.index.find(key);
     if (it != shard.index.end()) {
-      // A concurrent predict raced us here; keep the existing entry when it
-      // is still valid, otherwise replace it with what we just computed.
-      Entry& entry = it->second->second;
-      if (entry.training_days == days) {
-        auto& slot = entry.solved[index_of(prediction.initial_state)];
-        if (!slot) slot = prediction;
-        if (!entry.curves) entry.curves = curves;
+      // A concurrent predict raced us here and already cached the same
+      // answers; keep its entry when it is still valid.
+      if (it->second->second.training_days == days) {
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         return prediction;
       }
       shard.lru.erase(it->second);
       shard.index.erase(it);
     }
-    Entry entry;
-    entry.training_days = days;
-    entry.model = model;
-    entry.curves = curves;
-    entry.majority_initial = majority;
-    entry.estimate_seconds = estimate_seconds;
-    entry.solved[index_of(prediction.initial_state)] = prediction;
     shard.lru.emplace_front(key, std::move(entry));
     shard.index[key] = shard.lru.begin();
     while (shard.index.size() > config_.capacity_per_shard) {
@@ -317,7 +295,6 @@ ServiceStats PredictionService::stats() const {
   ServiceStats stats;
   stats.lookups = lookups_.value();
   stats.hits = hits_.value();
-  stats.partial_hits = partial_hits_.value();
   stats.misses = misses_.value();
   stats.evictions = evictions_.value();
   stats.invalidations = invalidations_.value();

@@ -1,16 +1,17 @@
-// Fleet-scale prediction front-end: request batching plus memoized Q/H
-// estimation (the "serve many clients" layer above AvailabilityPredictor).
+// Fleet-scale prediction front-end: request batching plus memoized
+// predictions (the "serve many clients" layer above AvailabilityPredictor).
 //
 // A scheduler placing one job probes every machine in the fleet with the
 // same time window, and probes again minutes later with a nearly identical
-// one; the estimated SMP model for a (machine, day-type, window) triple is
-// the same each time. PredictionService exploits that: predictions fan out
-// over the parallel_for thread pool, and estimated (Q, H) models — plus the
-// model's precomputed AbsorptionCurves table and the solved Prediction per
-// initial state — live in a sharded LRU cache. A warm query never re-enters
-// the Eq. 3 recursion: any TR the cached model can produce is an O(1) read
-// off the curves (curve_cache.hpp), so the only per-solve work the service
-// ever does is the one table build on a cache miss.
+// one; the answer for a (machine, day-type, window) triple is the same each
+// time. PredictionService exploits that: predictions fan out over the
+// parallel_for thread pool, and answers live in a sharded LRU cache. A miss
+// estimates (Q, H), builds one transient AbsorptionCurves table at the
+// window's horizon (curve_cache.hpp), and fills the Prediction for BOTH
+// transient initial states from it; the model and the table are dropped on
+// return, so an entry holds only its training days, the majority initial
+// state and the two Predictions, and every later lookup of the key whose
+// training days still match is a hit.
 //
 // Cache key and staleness: entries are keyed by (machine_id, day_type,
 // window_start, window_length, history_generation). The generation is a
@@ -24,8 +25,10 @@
 // Thread-safety contract: all public methods may be called concurrently.
 // Traces passed in must outlive the call and must not be mutated during it
 // (append new days between batches, then invalidate()). A cache hit returns
-// the stored Prediction verbatim — bit-identical to the cold call that
-// populated it, including its recorded estimate/solve timings.
+// the stored Prediction for its initial state: TR, p_absorb, initial state,
+// steps and training days bit-identical to AvailabilityPredictor. Both of
+// an entry's Predictions carry the timings of the one estimate and build
+// that filled it.
 #pragma once
 
 #include <array>
@@ -41,10 +44,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/curve_cache.hpp"
 #include "core/estimator.hpp"
 #include "core/predictor.hpp"
-#include "core/semi_markov.hpp"
 #include "core/states.hpp"
 #include "trace/machine_trace.hpp"
 #include "util/metrics.hpp"
@@ -71,15 +72,14 @@ struct BatchRequest {
 };
 
 /// Monotonic observability counters; snapshot via PredictionService::stats().
-/// Invariant: lookups == hits + partial_hits + misses.
+/// Invariant: lookups == hits + misses.
 ///
 /// This is a thin view over the service's metrics instruments — the same
 /// values every instance also reports into MetricsRegistry::global() under
 /// the `service.*` names (DESIGN.md §8), where multiple instances sum.
 struct ServiceStats {
   std::uint64_t lookups = 0;        ///< predict() calls (incl. batched ones)
-  std::uint64_t hits = 0;           ///< fully cached Prediction returned
-  std::uint64_t partial_hits = 0;   ///< model + curves reused, O(1) table read
+  std::uint64_t hits = 0;           ///< cached Prediction returned
   std::uint64_t misses = 0;         ///< estimated and solved from scratch
   std::uint64_t evictions = 0;      ///< LRU capacity evictions
   std::uint64_t invalidations = 0;  ///< invalidate() calls
@@ -151,19 +151,14 @@ class PredictionService {
     std::size_t operator()(const Key& key) const;
   };
 
-  /// A memoized estimation for one (machine, day-type, window, generation):
-  /// the model, its precomputed absorption curves (validated and solved ONCE,
-  /// when the model entered the cache — warm lookups never construct a
-  /// solver or re-run SmpModel::validate), the training days that produced
-  /// it (revalidated on every hit), and the solved Prediction per transient
-  /// initial state.
+  /// The answers for one (machine, day-type, window, generation): the
+  /// training days that produced them (revalidated on every hit), the
+  /// majority initial state (the default when a request names none), and
+  /// the Prediction per transient initial state, both filled by the miss.
   struct Entry {
     std::vector<std::int64_t> training_days;
-    std::shared_ptr<const SmpModel> model;
-    std::shared_ptr<const AbsorptionCurves> curves;
     State majority_initial = State::kS1;
-    double estimate_seconds = 0.0;
-    std::array<std::optional<Prediction>, 2> solved;  // by index_of(init)
+    std::array<Prediction, 2> by_init;  // by index_of(init)
   };
 
   struct Shard {
@@ -191,7 +186,6 @@ class PredictionService {
   // The hot hit path therefore still costs exactly two relaxed atomic adds.
   Counter lookups_;
   Counter hits_;
-  Counter partial_hits_;
   Counter misses_;
   Counter evictions_;
   Counter invalidations_;

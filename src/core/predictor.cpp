@@ -1,8 +1,6 @@
 #include "core/predictor.hpp"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/error.hpp"
 
@@ -15,27 +13,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-enum class SolverChoice { kSparse, kCurves };
-
-/// FGCS_SOLVER selects the per-call solve path: "sparse" (default) runs the
-/// direct recursion, "curves" builds an AbsorptionCurves table and reads it —
-/// the CI golden leg uses the latter to prove the two are bit-identical.
-SolverChoice solver_choice() {
-  const char* env = std::getenv("FGCS_SOLVER");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "sparse") == 0)
-    return SolverChoice::kSparse;
-  if (std::strcmp(env, "curves") == 0) return SolverChoice::kCurves;
-  FGCS_REQUIRE_MSG(false, "FGCS_SOLVER must be 'sparse' or 'curves'");
-  return SolverChoice::kSparse;
-}
-
 }  // namespace
-
-SparseTrSolver::Result solve_from_curves(AbsorptionCurves& curves, State init,
-                                         std::size_t n_steps) {
-  curves.extend_to(n_steps);
-  return curves.result_at(init, n_steps);
-}
 
 AvailabilityPredictor::AvailabilityPredictor(EstimatorConfig config)
     : estimator_(config) {}
@@ -64,15 +42,10 @@ Prediction AvailabilityPredictor::predict(const MachineTrace& trace,
   prediction.estimate_seconds = seconds_since(t0);
 
   const auto t1 = std::chrono::steady_clock::now();
-  SparseTrSolver::Result result;
-  if (solver_choice() == SolverChoice::kCurves) {
-    AbsorptionCurves curves(model, prediction.steps);
-    result = curves.result_at(prediction.initial_state, prediction.steps);
-  } else {
-    static thread_local SolverScratch scratch;
-    const SparseTrSolver solver(model);
-    result = solver.solve(prediction.initial_state, prediction.steps, &scratch);
-  }
+  static thread_local SolverScratch scratch;
+  const SparseTrSolver solver(model);
+  const SparseTrSolver::Result result =
+      solver.solve(prediction.initial_state, prediction.steps, &scratch);
   prediction.solve_seconds = seconds_since(t1);
 
   prediction.temporal_reliability = result.temporal_reliability;

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/curve_cache.hpp"
 #include "core/estimator.hpp"
 #include "core/sparse_solver.hpp"
 #include "core/states.hpp"
@@ -24,13 +23,6 @@
 #include "trace/window.hpp"
 
 namespace fgcs {
-
-/// Solves TR(init, n_steps) through an absorption-curve table, growing the
-/// table if the horizon is beyond what it covers. This is the warm hot path
-/// of the serving stack: when the curves already reach n_steps the call is an
-/// O(1) table read, bit-identical to SparseTrSolver::solve on the same model.
-SparseTrSolver::Result solve_from_curves(AbsorptionCurves& curves, State init,
-                                         std::size_t n_steps);
 
 struct PredictionRequest {
   /// Day index the window starts on; training data comes from earlier days.

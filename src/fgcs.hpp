@@ -8,6 +8,7 @@
 // Core: the paper's contribution.
 #include "core/analysis.hpp"      // MTTF, failure modes, confidence intervals
 #include "core/classifier.hpp"      // samples → 5-state availability model
+#include "core/curve_cache.hpp"     // one-pass Eq. 3 build, both initial states
 #include "core/empirical.hpp"       // empirical TR, evaluation metrics
 #include "core/estimator.hpp"       // Q/H estimation from history logs
 #include "core/fast_solver.hpp"     // O(n log^2 n) FFT renewal solver

@@ -11,9 +11,9 @@
 // scheduler issues that probe as one predict_batch (fanned out over the
 // thread pool) instead of N sequential per-gateway predictor runs; selection
 // order and results are identical to the serial path. On a warm cache each
-// per-machine probe is an O(1) read off the entry's precomputed absorption
-// curves (curve_cache.hpp) — no estimator scan, no solver construction, no
-// Eq. 3 recursion — so repeat placements cost table lookups, not solves.
+// per-machine probe returns the entry's stored Prediction — no estimator
+// scan, no solver construction, no Eq. 3 recursion — so repeat placements
+// cost cache lookups, not solves.
 //
 // Degraded modes (exercised by tests/chaos): a machine whose prediction
 // fails is skipped during selection — never fatal; a selection round that

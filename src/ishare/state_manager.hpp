@@ -10,9 +10,9 @@
 // When constructed with a PredictionService, every query routes through the
 // service's memoizing cache — the intended configuration for fleet
 // deployments, where many managers share one service and the scheduler's
-// per-placement probes hit warm (Q, H) models whose absorption curves are
-// already tabulated: a warm query is an O(1) curve read, never a fresh
-// Eq. 3 solve. Whoever appends days to the
+// per-placement probes hit cached answers: a warm query is a copy of the
+// stored Prediction, never a fresh estimate or Eq. 3 solve. Whoever appends
+// days to the
 // history must call PredictionService::invalidate(machine_id) afterwards
 // (see prediction_service.hpp for the staleness contract). Without a
 // service, queries run a private AvailabilityPredictor per call — the

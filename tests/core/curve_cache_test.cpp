@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/estimator.hpp"
-#include "core/predictor.hpp"
 #include "core/sparse_solver.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
@@ -37,28 +36,22 @@ std::vector<double> pmf_at(std::size_t horizon,
   return pmf;
 }
 
-/// Every horizon 0..t_max of a table built at `t_max`, then of the same
-/// table after extend_to(3·t_max + 1), against fresh SparseTrSolver solves:
-/// both initial states, every bit.
+/// Every horizon 0..t_max of a table built at `t_max`, against fresh
+/// SparseTrSolver solves: both initial states, every bit.
 void expect_matches_solver_at(const SmpModel& model,
                               std::initializer_list<std::size_t> t_maxes) {
   const SparseTrSolver solver(model);
   for (const std::size_t t_max : t_maxes) {
-    AbsorptionCurves curves(model, t_max);
-    for (const bool extended : {false, true}) {
-      if (extended) curves.extend_to(3 * t_max + 1);
-      for (std::size_t n = 0; n <= curves.t_max(); ++n)
-        for (const State init : {State::kS1, State::kS2}) {
-          const auto got = curves.result_at(init, n);
-          const auto want = solver.solve(init, n);
-          EXPECT_EQ(got.temporal_reliability, want.temporal_reliability)
-              << "t_max=" << t_max << " extended=" << extended << " n=" << n
-              << " init=" << to_string(init);
-          EXPECT_EQ(got.p_absorb, want.p_absorb)
-              << "t_max=" << t_max << " extended=" << extended << " n=" << n
-              << " init=" << to_string(init);
-        }
-    }
+    const AbsorptionCurves curves(model, t_max);
+    for (std::size_t n = 0; n <= t_max; ++n)
+      for (const State init : {State::kS1, State::kS2}) {
+        const auto got = curves.result_at(init, n);
+        const auto want = solver.solve(init, n);
+        EXPECT_EQ(got.temporal_reliability, want.temporal_reliability)
+            << "t_max=" << t_max << " n=" << n << " init=" << to_string(init);
+        EXPECT_EQ(got.p_absorb, want.p_absorb)
+            << "t_max=" << t_max << " n=" << n << " init=" << to_string(init);
+      }
   }
 }
 
@@ -139,110 +132,61 @@ TEST(CurveCacheTest, CurvesAreMonotoneNonDecreasingInT) {
   }
 }
 
+// A longer build extends the table without touching the prefix it shares
+// with a shorter one: row m depends only on rows < m, and there is one build
+// path at every horizon. 40 000 steps is above the horizon where builds used
+// to switch to the FFT renewal solver, whose rows were not bit-identical.
 TEST(CurveCacheTest, ExtensionPreservesPrefixBitForBit) {
-  for (int trial = 0; trial < 20; ++trial) {
-    Rng rng(static_cast<std::uint64_t>(4200 + trial));
-    const SmpModel model = test::random_fgcs_model(5, rng);
-    AbsorptionCurves curves(model, 12);
-    std::vector<double> before;
-    for (const State init : {State::kS1, State::kS2})
-      for (std::size_t jj = 0; jj < 3; ++jj)
-        for (std::size_t m = 0; m <= 12; ++m)
-          before.push_back(curves.probability(init, jj, m));
+  constexpr std::size_t kShort = 4096;
+  constexpr std::size_t kLong = 40000;
+  Rng rng(4200);
+  const SmpModel model = test::random_fgcs_model(48, rng);
+  const AbsorptionCurves shorter(model, kShort);
+  const AbsorptionCurves longer(model, kLong);
+  ASSERT_EQ(longer.t_max(), kLong);
+  for (const State init : {State::kS1, State::kS2})
+    for (std::size_t jj = 0; jj < 3; ++jj)
+      for (std::size_t m = 1; m <= kShort; ++m)
+        ASSERT_EQ(longer.probability(init, jj, m),
+                  shorter.probability(init, jj, m))
+            << "m=" << m << " init=" << to_string(init);
 
-    curves.extend_to(60);
-    ASSERT_GE(curves.t_max(), 60u);
-    std::size_t i = 0;
-    for (const State init : {State::kS1, State::kS2})
-      for (std::size_t jj = 0; jj < 3; ++jj)
-        for (std::size_t m = 0; m <= 12; ++m)
-          EXPECT_EQ(curves.probability(init, jj, m), before[i++])
-              << "trial=" << trial << " m=" << m;
-
-    // And the grown table matches a table built fresh at the final horizon —
-    // extension is not merely self-consistent, it is the same recursion.
-    const AbsorptionCurves fresh(model, curves.t_max());
-    for (const State init : {State::kS1, State::kS2})
-      for (std::size_t jj = 0; jj < 3; ++jj)
-        for (std::size_t m = 0; m <= curves.t_max(); ++m)
-          EXPECT_EQ(curves.probability(init, jj, m),
-                    fresh.probability(init, jj, m))
-              << "trial=" << trial << " m=" << m;
-  }
+  const SparseTrSolver solver(model);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{47},
+                              std::size_t{48}, std::size_t{49},
+                              std::size_t{1000}, kShort})
+    for (const State init : {State::kS1, State::kS2}) {
+      const auto want = solver.solve(init, n);
+      const auto got = longer.result_at(init, n);
+      EXPECT_EQ(got.temporal_reliability, want.temporal_reliability)
+          << "n=" << n << " init=" << to_string(init);
+      EXPECT_EQ(got.p_absorb, want.p_absorb)
+          << "n=" << n << " init=" << to_string(init);
+    }
 }
 
-TEST(CurveCacheTest, ExtensionGrowsGeometrically) {
-  Rng rng(9);
-  const SmpModel model = test::random_fgcs_model(4, rng);
-  AbsorptionCurves curves(model, 10);
-  EXPECT_EQ(curves.t_max(), 10u);
-  curves.extend_to(11);  // a nudge past the horizon doubles, not creeps
-  EXPECT_EQ(curves.t_max(), 20u);
-  curves.extend_to(20);  // covered: no-op
-  EXPECT_EQ(curves.t_max(), 20u);
-  curves.extend_to(100);  // beyond 2× jumps straight to the request
-  EXPECT_EQ(curves.t_max(), 100u);
-}
-
-// Satellite 1's work claim, made exact: one table build costs n recursion
-// ticks and serves BOTH initial states, where the per-initial-state solver
-// spends n ticks per row requested — the miss path that used to pay 2n for
-// a warm entry's two initial states now pays n.
+// One build serves both initial states: the two rows the service caches
+// per entry come from the same table, each bit-identical to its own
+// per-initial-state solve.
 TEST(CurveCacheTest, OneBuildServesBothInitialStates) {
   Rng rng(21);
   const SmpModel model = test::random_fgcs_model(6, rng);
   const std::size_t n = 64;
-  AbsorptionCurves curves(model, n);
-  EXPECT_EQ(curves.recursion_ticks(), n);
-  const auto s1 = curves.result_at(State::kS1, n);
-  const auto s2 = curves.result_at(State::kS2, n);
-  EXPECT_EQ(curves.recursion_ticks(), n);  // reads cost zero ticks
-
+  const AbsorptionCurves curves(model, n);
   const SparseTrSolver solver(model);
-  expect_identical(s1, solver.solve(State::kS1, n));
-  expect_identical(s2, solver.solve(State::kS2, n));
+  expect_identical(curves.result_at(State::kS1, n), solver.solve(State::kS1, n));
+  expect_identical(curves.result_at(State::kS2, n), solver.solve(State::kS2, n));
 }
 
 TEST(CurveCacheTest, ConstructionValidatesModelExactlyOnce) {
   Rng rng(33);
   const SmpModel model = test::random_fgcs_model(5, rng);
   const std::uint64_t before = smp_validate_calls();
-  AbsorptionCurves curves(model, 32);
+  const AbsorptionCurves curves(model, 32);
   EXPECT_EQ(smp_validate_calls(), before + 1);
   curves.result_at(State::kS1, 32);
   curves.result_at(State::kS2, 7);
-  curves.extend_to(64);
-  EXPECT_EQ(smp_validate_calls(), before + 1);  // reads and growth: none
-}
-
-TEST(CurveCacheTest, FftCrossoverAgreesWithDirectRecursion) {
-  for (int trial = 0; trial < 5; ++trial) {
-    Rng rng(static_cast<std::uint64_t>(600 + trial));
-    const SmpModel model = test::random_fgcs_model(8, rng);
-    const std::size_t n = 256;
-    const AbsorptionCurves fft(model, n, CurveConfig{.fft_crossover = 64});
-    const AbsorptionCurves direct(model, n);
-    for (const State init : {State::kS1, State::kS2})
-      for (std::size_t jj = 0; jj < 3; ++jj)
-        for (std::size_t m = 0; m <= n; m += 17)
-          EXPECT_NEAR(fft.probability(init, jj, m),
-                      direct.probability(init, jj, m), 1e-9)
-              << "trial=" << trial << " m=" << m;
-  }
-}
-
-TEST(CurveCacheTest, FftBuiltTableExtendsViaDirectRecursion) {
-  Rng rng(77);
-  const SmpModel model = test::random_fgcs_model(6, rng);
-  AbsorptionCurves curves(model, 128, CurveConfig{.fft_crossover = 64});
-  curves.extend_to(200);
-  const AbsorptionCurves direct(model, curves.t_max());
-  for (const State init : {State::kS1, State::kS2})
-    for (std::size_t jj = 0; jj < 3; ++jj)
-      for (std::size_t m = 129; m <= curves.t_max(); m += 13)
-        EXPECT_NEAR(curves.probability(init, jj, m),
-                    direct.probability(init, jj, m), 1e-9)
-            << "m=" << m;
+  EXPECT_EQ(smp_validate_calls(), before + 1);  // reads: none
 }
 
 // The builder visits only nonzero kernel lags and nonzero direct-absorption
@@ -278,8 +222,8 @@ TEST(CurveCacheTest, LagAtLastPmfIndexIsVisited) {
 
 TEST(CurveCacheTest, LagsAtOrBeyondTheRequestedHorizon) {
   // Every kernel term sits at lag 10: tables built to 3 or 9 ticks hold no
-  // cross term at all, one built to 10 only the direct step, and extension
-  // must bring the lag-10 terms in exactly where the solver does.
+  // cross term at all, one built to 10 only the direct step, and one built
+  // to 11 must bring the lag-10 terms in exactly where the solver does.
   SmpModel model(kStateCount, 10);
   model.set_q(kS1, kS2, 0.6);
   model.set_h_pmf(kS1, kS2, pmf_at(10, {{10, 1.0}}));
@@ -336,56 +280,6 @@ TEST(CurveCacheTest, FullyDenseKernelFromLaplaceSmoothing) {
     ASSERT_GT(model.h(kS2, kS1, l), 0.0) << "lag " << l;
   }
   expect_matches_solver_at(model, {1, 12, 24, 40});
-}
-
-TEST(CurveCacheTest, FftBuiltTableSeedsExtensionFromCompactRows) {
-  // Direct-absorption rows straddle the FFT build horizon (64): rows 20 and
-  // 64 must be in the seeded running sums, rows 90 and 150 must not. With
-  // no cross kernel, an extended row is exactly that running sum plus the
-  // rows since — bit-identical to the solver's cumulative sum.
-  SmpModel model(kStateCount, 160);
-  model.set_q(kS1, kS3, 0.5);
-  model.set_h_pmf(kS1, kS3, pmf_at(160, {{20, 0.5}, {90, 0.5}}));
-  model.set_q(kS1, kS5, 0.25);
-  model.set_h_pmf(kS1, kS5, pmf_at(160, {{64, 1.0}}));
-  model.set_q(kS2, kS4, 0.75);
-  model.set_h_pmf(kS2, kS4, pmf_at(160, {{60, 0.5}, {150, 0.5}}));
-  AbsorptionCurves curves(model, 64, CurveConfig{.fft_crossover = 32});
-  curves.extend_to(200);
-  const SparseTrSolver solver(model);
-  for (std::size_t n = 65; n <= curves.t_max(); ++n)
-    for (const State init : {State::kS1, State::kS2})
-      expect_identical(curves.result_at(init, n), solver.solve(init, n));
-
-  // With the cross kernels back in, the FFT prefix is no longer exact, so
-  // the extension agrees to the FFT's tolerance instead.
-  model.set_q(kS1, kS2, 0.25);
-  model.set_h_pmf(kS1, kS2, pmf_at(160, {{5, 0.5}, {70, 0.5}}));
-  model.set_q(kS2, kS1, 0.25);
-  model.set_h_pmf(kS2, kS1, pmf_at(160, {{33, 1.0}}));
-  AbsorptionCurves coupled(model, 64, CurveConfig{.fft_crossover = 32});
-  coupled.extend_to(200);
-  const SparseTrSolver coupled_solver(model);
-  for (std::size_t n = 0; n <= coupled.t_max(); ++n)
-    for (const State init : {State::kS1, State::kS2})
-      EXPECT_NEAR(coupled.result_at(init, n).temporal_reliability,
-                  coupled_solver.solve(init, n).temporal_reliability, 1e-9)
-          << "n=" << n << " init=" << to_string(init);
-}
-
-TEST(CurveCacheTest, SolveFromCurvesExtendsOnDemand) {
-  Rng rng(55);
-  const SmpModel model = test::random_fgcs_model(5, rng);
-  AbsorptionCurves curves(model, 8);
-  const SparseTrSolver solver(model);
-  const auto grown = solve_from_curves(curves, State::kS1, 50);
-  EXPECT_GE(curves.t_max(), 50u);
-  expect_identical(grown, solver.solve(State::kS1, 50));
-  // Within the horizon it is a pure read: t_max does not move.
-  const std::size_t t_max = curves.t_max();
-  expect_identical(solve_from_curves(curves, State::kS2, 17),
-                   solver.solve(State::kS2, 17));
-  EXPECT_EQ(curves.t_max(), t_max);
 }
 
 }  // namespace

@@ -76,10 +76,9 @@ TEST(PredictionServiceTest, MatchesPerCallPredictorExactly) {
             1.0);
 }
 
-// Satellite 2: the model is validated exactly once, when it enters the cache
-// (inside the curve build). Warm lookups — full hits AND partial hits for
-// the other initial state — must not construct a solver or re-run
-// SmpModel::validate.
+// The model is validated exactly once, inside the one curve build on the
+// miss. Every warm lookup — the same initial state or the other one — is a
+// hit that copies a stored Prediction: no solver, no SmpModel::validate.
 TEST(PredictionServiceTest, WarmLookupsNeverRevalidateTheModel) {
   const MachineTrace trace = flaky_trace("m1");
   PredictionService service;
@@ -88,23 +87,21 @@ TEST(PredictionServiceTest, WarmLookupsNeverRevalidateTheModel) {
   service.predict(trace, request);  // cold: estimate + validate + curve build
 
   const std::uint64_t warm_start = smp_validate_calls();
-  service.predict(trace, request);  // full hit
+  service.predict(trace, request);  // hit
   PredictionRequest other = request;
   other.initial_state = State::kS2;
-  service.predict(trace, other);  // partial hit: new initial state
-  service.predict(trace, other);  // full hit on the now-cached S2 slot
+  service.predict(trace, other);  // hit: the miss filled the S2 slot too
+  service.predict(trace, other);  // hit
   EXPECT_EQ(smp_validate_calls(), warm_start);
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.partial_hits, 1u);
-  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.hits, 3u);
 }
 
-// The partial-hit path reads the cached absorption curves instead of
-// re-running Eq. 3; both initial states must come out bit-identical to the
-// per-call predictor.
-TEST(PredictionServiceTest, PartialHitMatchesPredictorForBothInitialStates) {
+// One miss fills both initial states' Predictions; the second initial state
+// is a hit, and both come out bit-identical to the per-call predictor.
+TEST(PredictionServiceTest, BothInitialStatesMatchPredictorFromOneMiss) {
   const MachineTrace trace = flaky_trace("m1");
   PredictionService service;
   const AvailabilityPredictor predictor(service.config().estimator);
@@ -118,7 +115,7 @@ TEST(PredictionServiceTest, PartialHitMatchesPredictorForBothInitialStates) {
   }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.partial_hits, 1u);
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 TEST(PredictionServiceTest, InvalidateDropsExactlyThatMachine) {
@@ -178,21 +175,24 @@ TEST(PredictionServiceTest, TimingCountersRegisterFastColdCalls) {
   EXPECT_GE(stats.pool.workers, 1u);
 }
 
-TEST(PredictionServiceTest, SecondInitialStateIsPartialHit) {
+TEST(PredictionServiceTest, SecondInitialStateIsHit) {
   const MachineTrace trace = flaky_trace("m1");
   PredictionService service;
   const AvailabilityPredictor predictor(service.config().estimator);
   PredictionRequest request{.target_day = 10, .window = morning_window()};
   request.initial_state = State::kS1;
-  expect_identical(predictor.predict(trace, request),
-                   service.predict(trace, request));
+  const Prediction s1 = service.predict(trace, request);
+  expect_identical(predictor.predict(trace, request), s1);
   request.initial_state = State::kS2;
-  expect_identical(predictor.predict(trace, request),
-                   service.predict(trace, request));
+  const Prediction s2 = service.predict(trace, request);
+  expect_identical(predictor.predict(trace, request), s2);
+  // Both slots carry the timings of the one estimate and build.
+  EXPECT_EQ(s1.estimate_seconds, s2.estimate_seconds);
+  EXPECT_EQ(s1.solve_seconds, s2.solve_seconds);
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.partial_hits, 1u);  // model reused, solver re-run
+  EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(service.size(), 1u);
 }
 
@@ -244,7 +244,7 @@ TEST(PredictionServiceTest, StatsCountersAddUp) {
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.lookups, 9u);
-  EXPECT_EQ(stats.lookups, stats.hits + stats.partial_hits + stats.misses);
+  EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
   EXPECT_EQ(stats.misses, 4u);
   EXPECT_EQ(stats.hits, 5u);
   EXPECT_EQ(stats.batches, 2u);

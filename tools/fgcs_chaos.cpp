@@ -712,7 +712,7 @@ int main_checked(int argc, char** argv) {
     }
     // Only order-invariant counters belong in this line: with the batch
     // fanned out over the thread pool, *which* request warms the cache (and
-    // so the hit/miss/partial split) depends on worker interleaving, while
+    // so the hit/miss split) depends on worker interleaving, while
     // lookups, batches and invalidations are fixed by the scenario alone.
     // Byte-identical replay from the same flags is this tool's contract.
     const ServiceStats service_stats = setup.service->stats();

@@ -8,6 +8,7 @@
 // paper's evaluation axes — and compares against a committed CSV fixture.
 //
 //   fgcs_golden --check  [--file CSV]   recompute, fail on drift (default)
+//                                       or on a served/predicted mismatch
 //   fgcs_golden --regen  [--file CSV]   rewrite the fixture
 //   fgcs_golden --selftest              prove the check catches a 1e-9 nudge
 //
@@ -23,6 +24,15 @@
 // (xoshiro256**, fully seeded) plus libm transcendentals, so fixtures are
 // stable per platform/toolchain; CI checks them on its pinned image, and a
 // legitimate numeric change (or platform move) is one --regen away.
+//
+// --check also serves every row through one fresh PredictionService, cold
+// then warm, for the requested initial state and for the other transient
+// one. The served Prediction must equal AvailabilityPredictor's bit for bit
+// (TR, absorption probabilities, initial state, steps, training days): the
+// predictor runs the per-call SparseTrSolver, the service one curve build
+// per miss, so this pins the two Eq. 3 paths to each other on every fixture
+// row.
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "core/prediction_service.hpp"
 #include "core/predictor.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -66,13 +77,53 @@ std::vector<MachineTrace> golden_fleet(const std::string& workload) {
                         "golden");
 }
 
-std::vector<GoldenRow> compute_golden(const std::string& workload) {
+bool same_bits(const Prediction& a, const Prediction& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  bool same = bits(a.temporal_reliability) == bits(b.temporal_reliability) &&
+              a.initial_state == b.initial_state && a.steps == b.steps &&
+              a.training_days_used == b.training_days_used;
+  for (std::size_t j = 0; j < a.p_absorb.size(); ++j)
+    same = same && bits(a.p_absorb[j]) == bits(b.p_absorb[j]);
+  return same;
+}
+
+/// Served-versus-predicted tally of one --check run.
+struct ServedCheck {
+  std::size_t compared = 0;
+  std::size_t mismatches = 0;
+  ServiceStats stats;
+};
+
+/// The grid's TRs through AvailabilityPredictor. With `served` non-null,
+/// every row is also served through one fresh PredictionService: cold, then
+/// warm, then warm for the other transient initial state, each compared to
+/// the predictor bit for bit.
+std::vector<GoldenRow> compute_golden(const std::string& workload,
+                                      ServedCheck* served = nullptr) {
   const std::vector<MachineTrace> fleet = golden_fleet(workload);
   const std::vector<SimTime> lengths =
       workload == "preemption" ? std::vector<SimTime>{1, 6}
                                : std::vector<SimTime>{1, 3, 6, 12};
 
   const AvailabilityPredictor predictor{EstimatorConfig{}};
+  PredictionService service(ServiceConfig{.estimator = EstimatorConfig{}});
+  const auto compare = [&](const MachineTrace& trace,
+                           const PredictionRequest& request,
+                           const Prediction& want, const char* leg) {
+    const Prediction got = service.predict(trace, request);
+    ++served->compared;
+    if (same_bits(want, got)) return;
+    ++served->mismatches;
+    std::fprintf(stderr,
+                 "fgcs_golden: SERVED MISMATCH (%s) — %s day %lld start %lld "
+                 "len %lld init %s: predictor %.17g vs service %.17g\n",
+                 leg, trace.machine_id().c_str(),
+                 static_cast<long long>(request.target_day),
+                 static_cast<long long>(request.window.start_of_day),
+                 static_cast<long long>(request.window.length),
+                 to_string(want.initial_state), want.temporal_reliability,
+                 got.temporal_reliability);
+  };
   std::vector<GoldenRow> rows;
   for (const MachineTrace& trace : fleet) {
     // Day 15 pins mid-history training-day selection, day 30 the forecast
@@ -91,12 +142,23 @@ std::vector<GoldenRow> compute_golden(const std::string& workload) {
               .window = TimeWindow{.start_of_day = row.window_start,
                                    .length = row.window_length},
               .initial_state = std::nullopt};
-          row.tr = predictor.predict(trace, request).temporal_reliability;
+          const Prediction predicted = predictor.predict(trace, request);
+          row.tr = predicted.temporal_reliability;
           rows.push_back(row);
+          if (served == nullptr) continue;
+          compare(trace, request, predicted, "cold");
+          compare(trace, request, predicted, "warm");
+          PredictionRequest other = request;
+          other.initial_state = predicted.initial_state == State::kS1
+                                    ? State::kS2
+                                    : State::kS1;
+          compare(trace, other, predictor.predict(trace, other),
+                  "warm, other initial state");
         }
       }
     }
   }
+  if (served != nullptr) served->stats = service.stats();
   return rows;
 }
 
@@ -159,7 +221,22 @@ int check(const std::string& path, const std::string& workload) {
         parse_row(line, path + ":" + std::to_string(line_no)));
   }
 
-  const std::vector<GoldenRow> actual = compute_golden(workload);
+  ServedCheck served;
+  const std::vector<GoldenRow> actual = compute_golden(workload, &served);
+  // Every row must have missed once and hit twice: otherwise the warm legs
+  // did not exercise the cached answers.
+  if (served.mismatches > 0 || served.stats.misses != actual.size() ||
+      served.stats.hits != 2 * actual.size()) {
+    std::fprintf(stderr,
+                 "fgcs_golden: %zu of %zu served predictions differ from "
+                 "AvailabilityPredictor (%llu misses, %llu hits over %zu "
+                 "rows)\n",
+                 served.mismatches, served.compared,
+                 static_cast<unsigned long long>(served.stats.misses),
+                 static_cast<unsigned long long>(served.stats.hits),
+                 actual.size());
+    return 1;
+  }
   if (expected.size() != actual.size()) {
     std::fprintf(stderr,
                  "fgcs_golden: DRIFT — fixture has %zu rows, grid computes "
@@ -198,7 +275,10 @@ int check(const std::string& path, const std::string& workload) {
                  drifted, actual.size());
     return 1;
   }
-  std::printf("fgcs_golden: %zu rows match %s\n", actual.size(), path.c_str());
+  std::printf("fgcs_golden: %zu rows match %s; %zu served predictions "
+              "(cold, warm, other initial state) bit-identical to the "
+              "predictor\n",
+              actual.size(), path.c_str(), served.compared);
   return 0;
 }
 

@@ -122,7 +122,7 @@ int run_batch(const fgcs::ArgParser& args) {
               "%.1f ms estimating + %.1f ms solving\n",
               static_cast<unsigned long long>(stats.lookups),
               static_cast<unsigned long long>(stats.misses),
-              static_cast<unsigned long long>(stats.hits + stats.partial_hits),
+              static_cast<unsigned long long>(stats.hits),
               1e3 * stats.estimate_seconds, 1e3 * stats.solve_seconds);
   std::printf("# pool: %u workers (%s), %llu tasks, %llu steals, "
               "queue high-water %llu, %.1f%% busy\n",

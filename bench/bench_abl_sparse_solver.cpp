@@ -3,10 +3,10 @@
 //
 // Both compute the same six first-passage probabilities; the sparse solver
 // exploits the 8-element structure of Q/H. google-benchmark reports the
-// speedup; equality is asserted on every run. Two more Eq. 3 paths run at
-// the same horizons: the FFT renewal solver, and the AbsorptionCurves build
-// the prediction service runs on every cache miss (both initial states,
-// sparse-lag kernel, bit-identical to the sparse solver).
+// speedup; equality is asserted on every run. The AbsorptionCurves build the
+// prediction service runs on every cache miss (both initial states,
+// sparse-lag kernel, bit-identical to the sparse solver) runs at the same
+// horizons. `--benchmark_filter='^$'` runs only the equivalence check.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -68,17 +68,6 @@ void BM_SparseSolver(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 
-void BM_FastSolver(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const SmpModel& model = model_for(n);
-  const FastTrSolver solver(model);
-  for (auto _ : state) {
-    const auto result = solver.solve(State::kS1, n);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetComplexityN(state.range(0));
-}
-
 void BM_CurveBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const SmpModel& model = model_for(n);
@@ -106,36 +95,31 @@ void verify_equivalence() {
     const SmpModel& model = model_for(n);
     const SparseTrSolver sparse(model);
     const DenseSmpSolver dense(model);
-    const FastTrSolver fast(model);
     const auto s = sparse.solve(State::kS1, n);
     const auto fp = dense.first_passage(index_of(State::kS1), n);
     const double dense_tr = 1.0 - (fp[2] + fp[3] + fp[4]);
-    const double fast_tr = fast.solve(State::kS1, n).temporal_reliability;
     const double curves_tr = AbsorptionCurves(model, n)
                                  .result_at(State::kS1, n)
                                  .temporal_reliability;
     if (std::abs(s.temporal_reliability - dense_tr) > 1e-9 ||
-        std::abs(s.temporal_reliability - fast_tr) > 1e-9 ||
         curves_tr != s.temporal_reliability) {
-      std::fprintf(stderr, "solver mismatch at n=%zu: %f / %f / %f / %f\n",
-                   n, s.temporal_reliability, dense_tr, fast_tr, curves_tr);
+      std::fprintf(stderr, "solver mismatch at n=%zu: %f / %f / %f\n", n,
+                   s.temporal_reliability, dense_tr, curves_tr);
       std::abort();
     }
   }
   std::printf(
-      "equivalence check: sparse == dense == fast on n in {60,240,600}, "
+      "equivalence check: sparse == dense on n in {60,240,600}, "
       "curves bit-identical to sparse\n");
 }
 
 }  // namespace
 
-// 6000 = the paper's largest window (10 h at 6 s). 28800 (two days at 6 s)
-// is where the FFT solver overtakes the O(n²) sparse solver; the curve build
-// visits only nonzero kernel lags, so it stays ahead of both there.
+// 6000 = the paper's largest window (10 h at 6 s); 28800 is two days at 6 s.
+// The curve build visits only nonzero kernel lags, so it stays far ahead of
+// the O(n²) sparse solver at both.
 BENCHMARK(BM_SparseSolver)->Arg(60)->Arg(240)->Arg(600)->Arg(6000)->Arg(28800)
     ->Unit(benchmark::kMillisecond)->Complexity(benchmark::oNSquared);
-BENCHMARK(BM_FastSolver)->Arg(60)->Arg(240)->Arg(600)->Arg(6000)->Arg(28800)
-    ->Unit(benchmark::kMillisecond)->Complexity(benchmark::oNLogN);
 BENCHMARK(BM_CurveBuild)->Arg(60)->Arg(240)->Arg(600)->Arg(6000)->Arg(28800)
     ->Unit(benchmark::kMillisecond)->Complexity(benchmark::oN);
 BENCHMARK(BM_DenseSolver)->Arg(60)->Arg(240)->Arg(600)

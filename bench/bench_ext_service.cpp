@@ -12,23 +12,15 @@
 // and verifies that all three return identical TR values. Acceptance target:
 // warm batch ≥ 5× faster than per-call on the 20-machine fleet.
 //
-// A last table times the second initial state on a warm entry (an S2 query
+// A second table times the second initial state on a warm entry (an S2 query
 // on an entry an S1 query filled) against constructing a solver and solving
 // S2 directly; target ≥ 4×, TRs bit-identical.
-//
-// A second table isolates dispatch overhead: the same warm-cache predict
-// body fanned out by the retired spawn-per-call parallel_for versus the
-// persistent work-stealing pool, at batch sizes 1/20/200 with width forced
-// to 4 so both paths actually dispatch even on a single-CPU host.
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <iostream>
 #include <vector>
 
 #include "harness.hpp"
-#include "util/parallel.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace fgcs;
 
@@ -120,40 +112,6 @@ int main() {
   }
 
   table.print(std::cout);
-
-  // Dispatch overhead: thread-spawn-per-call vs persistent pool, identical
-  // warm-cache body. A dedicated 4-worker pool (not default_pool, which may
-  // size to 1 on small hosts) and an explicit width of 4 keep the two paths
-  // comparable; at batch 1 both degrade to the caller running serially, so
-  // that row reads as pure call overhead. Informational only — CI timing
-  // noise makes a hard gate here flaky; the warm-speedup gate above stands.
-  {
-    std::cout << "\ndispatch overhead (same warm body, width 4):\n";
-    Table dispatch({"batch", "spawn_ms", "pool_ms", "spawn_over_pool"});
-    const std::vector<MachineTrace> fleet = bench::lab_fleet(20, kDays);
-    const std::vector<BatchRequest> requests = probe_requests(fleet);
-    PredictionService service(ServiceConfig{.estimator = estimator});
-    (void)service.predict_batch(requests);  // warm every entry once
-    ThreadPool pool(4);
-    for (const std::size_t batch : {1u, 20u, 200u}) {
-      const std::size_t n = std::min<std::size_t>(batch, requests.size());
-      std::vector<Prediction> out(n);
-      const std::function<void(std::size_t)> body = [&](std::size_t i) {
-        out[i] = service.predict(*requests[i].trace, requests[i].request);
-      };
-      constexpr int kReps = 50;
-      const auto s0 = std::chrono::steady_clock::now();
-      for (int rep = 0; rep < kReps; ++rep) spawn_parallel_for(n, body, 4);
-      const double spawn_s = seconds_since(s0) / kReps;
-      const auto s1 = std::chrono::steady_clock::now();
-      for (int rep = 0; rep < kReps; ++rep) pool.for_each_index(n, body, 4);
-      const double pool_s = seconds_since(s1) / kReps;
-      dispatch.add_row({std::to_string(n), Table::num(1e3 * spawn_s),
-                        Table::num(1e3 * pool_s),
-                        Table::num(spawn_s / pool_s, 1)});
-    }
-    dispatch.print(std::cout);
-  }
 
   // Second initial state on a warm entry: the entry was filled by an S1
   // query and is now asked for S2. The miss already solved both initial

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/curve_cache.hpp"
 #include "util/error.hpp"
 
 namespace fgcs {
@@ -10,10 +11,8 @@ namespace fgcs {
 FailureAnalysis analyze_failure(const SmpModel& model, State init,
                                 std::size_t horizon) {
   FGCS_REQUIRE(horizon >= 1);
-  const SparseTrSolver solver(model);
-  const SparseTrSolver::Series series = solver.solve_series(horizon);
-  const std::size_t row = index_of(init);
-  FGCS_REQUIRE_MSG(row < 2, "initial state must be S1 or S2");
+  FGCS_REQUIRE_MSG(is_available(init), "initial state must be S1 or S2");
+  const AbsorptionCurves curves(model, horizon);
 
   FailureAnalysis analysis;
   // F(m) = Pr(failed by m) = Σ_j P_init,j(m);  E[min(T_fail, horizon)]
@@ -22,14 +21,14 @@ FailureAnalysis analyze_failure(const SmpModel& model, State init,
   for (std::size_t m = 0; m < horizon; ++m) {
     double failed = 0.0;
     for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj)
-      failed += series[row][jj][m];
+      failed += curves.probability(init, jj, m);
     mean += std::max(0.0, 1.0 - failed);
   }
   analysis.mean_ticks_to_failure = mean;
 
   double total_failed = 0.0;
   for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj) {
-    analysis.failure_mode[jj] = series[row][jj][horizon];
+    analysis.failure_mode[jj] = curves.probability(init, jj, horizon);
     total_failed += analysis.failure_mode[jj];
   }
   analysis.survival_at_horizon = std::clamp(1.0 - total_failed, 0.0, 1.0);

@@ -13,7 +13,6 @@
 #include <cstddef>
 
 #include "core/semi_markov.hpp"
-#include "core/sparse_solver.hpp"
 #include "core/states.hpp"
 
 namespace fgcs {
@@ -30,8 +29,9 @@ struct FailureAnalysis {
   State dominant_outcome = State::kS1;
 };
 
-/// Runs the sparse solver across 1..horizon and integrates the first-passage
-/// distribution. `model` must use the 5-state FGCS layout.
+/// Builds the absorption curves to `horizon` (one O(horizon·k) Eq. 3 pass,
+/// see curve_cache.hpp) and integrates the first-passage distribution.
+/// `model` must use the 5-state FGCS layout and `init` must be S1 or S2.
 FailureAnalysis analyze_failure(const SmpModel& model, State init,
                                 std::size_t horizon);
 

@@ -7,7 +7,7 @@
 // AbsorptionCurves object runs the recursion once, at construction, and is
 // read-only afterwards. PredictionService builds one per cache miss, reads
 // both initial states' results at the window's horizon, and drops the table
-// (DESIGN.md §5).
+// (DESIGN.md §5); analyze_failure reads the whole series of one row.
 //
 // Cost: the cross kernels a12/a21 are visited at their nonzero lags only, so
 // a build to T costs O(T·k) for k distinct nonzero lags. The estimator's
@@ -48,7 +48,7 @@ class AbsorptionCurves {
   /// Requires n_steps ≤ t_max() and an available `init`.
   SparseTrSolver::Result result_at(State init, std::size_t n_steps) const;
 
-  /// Raw curve read P_{init,j}(m) for tests (j = failure index 0..2).
+  /// Raw curve read P_{init,j}(m) (j = failure index 0..2), m ≤ t_max().
   double probability(State init, std::size_t failure_index,
                      std::size_t m) const;
 

@@ -57,7 +57,7 @@ struct ServiceConfig {
   EstimatorConfig estimator{};
   /// Cache shards; more shards = less lock contention under large batches.
   std::size_t shards = 16;
-  /// LRU capacity per shard, in memoized (machine, window) models.
+  /// LRU capacity per shard, in (machine, window) answer entries.
   std::size_t capacity_per_shard = 512;
   /// Concurrency cap for predict_batch on the persistent thread pool
   /// (0 = the pool's full worker count; 1 = serial). No threads are spawned
@@ -128,7 +128,7 @@ class PredictionService {
   /// Current history generation for a machine (0 until first invalidate()).
   std::uint64_t history_generation(const std::string& machine_id) const;
 
-  /// Memoized (machine, window) models currently cached, across all shards.
+  /// (machine, window) answer entries currently cached, across all shards.
   std::size_t size() const;
 
   /// Drops every cache entry (generations are preserved).

@@ -233,13 +233,20 @@ double monte_carlo_reliability(const SmpModel& model, std::size_t init,
 std::vector<double> weighted_holding_pmf(const SmpModel& model,
                                          std::size_t from, std::size_t to,
                                          std::size_t n) {
-  std::vector<double> a(n + 1, 0.0);
+  std::vector<double> a;
+  weighted_holding_pmf(model, from, to, n, a);
+  return a;
+}
+
+void weighted_holding_pmf(const SmpModel& model, std::size_t from,
+                          std::size_t to, std::size_t n,
+                          std::vector<double>& out) {
+  out.assign(n + 1, 0.0);
   const double q = model.q(from, to);
-  if (q == 0.0) return a;
+  if (q == 0.0) return;
   const auto pmf = model.h_pmf(from, to);
   const std::size_t limit = std::min(n, pmf.size());
-  for (std::size_t l = 1; l <= limit; ++l) a[l] = q * pmf[l - 1];
-  return a;
+  for (std::size_t l = 1; l <= limit; ++l) out[l] = q * pmf[l - 1];
 }
 
 std::uint64_t smp_validate_calls() {

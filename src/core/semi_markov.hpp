@@ -72,8 +72,9 @@ class SmpModel {
 };
 
 /// Generic dense solver: the textbook interval-transition recursion over all
-/// state pairs. O(S²·n²) — used for validating the sparse production solver
-/// and for experimenting with alternative state spaces.
+/// state pairs. O(S²·n²) — the test reference for the sparse Eq. 3 paths
+/// (SparseTrSolver, AbsorptionCurves) and a base for experimenting with
+/// alternative state spaces.
 class DenseSmpSolver {
  public:
   explicit DenseSmpSolver(const SmpModel& model);
@@ -100,20 +101,26 @@ double monte_carlo_reliability(const SmpModel& model, std::size_t init,
                                std::span<const bool> failure,
                                std::size_t n_trajectories, Rng& rng);
 
-/// The weighted holding-time pmf a(l) = Q_{from,to}·H_{from,to}(l) every TR
-/// solver convolves with, in the ONE canonical indexing convention shared by
-/// sparse_solver, fast_solver and curve_cache:
+/// The weighted holding-time pmf a(l) = Q_{from,to}·H_{from,to}(l) every Eq. 3
+/// recursion convolves with, in the ONE canonical indexing convention shared
+/// by sparse_solver and curve_cache:
 ///
 ///   lag-indexed — a[l] is the lag-l weight, a[0] == 0 (strict causality),
 ///   and the vector has n + 1 entries (lags 0..n), zero-padded past the
 ///   pmf's support.
 ///
-/// Historically the two solvers carried private copies with *different*
+/// Historically the solvers carried private copies with *different*
 /// conventions (lag l at a[l-1] vs a[l]) — an off-by-one trap this helper
 /// retires; tests/core/sparse_solver_test.cpp pins the convention.
 std::vector<double> weighted_holding_pmf(const SmpModel& model,
                                          std::size_t from, std::size_t to,
                                          std::size_t n);
+
+/// The same kernel written into `out` (resized to n + 1), so a caller can
+/// recycle one buffer across solves.
+void weighted_holding_pmf(const SmpModel& model, std::size_t from,
+                          std::size_t to, std::size_t n,
+                          std::vector<double>& out);
 
 /// Process-wide count of SmpModel::validate() runs (relaxed atomic).
 /// Test instrumentation: the serving hot path must validate a model once

@@ -11,17 +11,6 @@ namespace {
 constexpr std::size_t kS1 = index_of(State::kS1);
 constexpr std::size_t kS2 = index_of(State::kS2);
 
-/// Shared-convention kernel (semi_markov.hpp): lag l at a[l], a[0] == 0.
-void fill_weighted_pmf(const SmpModel& model, std::size_t from, std::size_t to,
-                       std::size_t n, std::vector<double>& a) {
-  a.assign(n + 1, 0.0);
-  const double q = model.q(from, to);
-  if (q == 0.0) return;
-  const auto pmf = model.h_pmf(from, to);
-  const std::size_t limit = std::min(n, pmf.size());
-  for (std::size_t l = 1; l <= limit; ++l) a[l] = q * pmf[l - 1];
-}
-
 bool all_zero(const std::vector<double>& a) {
   return std::all_of(a.begin(), a.end(), [](double v) { return v == 0.0; });
 }
@@ -38,41 +27,6 @@ SparseTrSolver::SparseTrSolver(const SmpModel& model) : model_(model) {
                        "failure states must be absorbing");
 }
 
-SparseTrSolver::Series SparseTrSolver::solve_series(std::size_t n_steps) const {
-  const std::size_t n = n_steps;
-  // Cross transitions between the two transient states (lag-indexed).
-  const std::vector<double> a12 = weighted_holding_pmf(model_, kS1, kS2, n);
-  const std::vector<double> a21 = weighted_holding_pmf(model_, kS2, kS1, n);
-
-  Series series;
-  for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj) {
-    const std::size_t j = index_of(kFailureStates[jj]);
-    const std::vector<double> d1 = weighted_holding_pmf(model_, kS1, j, n);
-    const std::vector<double> d2 = weighted_holding_pmf(model_, kS2, j, n);
-
-    std::vector<double>& p1 = series[0][jj];
-    std::vector<double>& p2 = series[1][jj];
-    p1.assign(n + 1, 0.0);
-    p2.assign(n + 1, 0.0);
-
-    double cum_d1 = 0.0;  // Σ_{l≤m} Q_1(j)·H_1,j(l): direct absorption by m
-    double cum_d2 = 0.0;
-    for (std::size_t m = 1; m <= n; ++m) {
-      cum_d1 += d1[m];
-      cum_d2 += d2[m];
-      double conv1 = 0.0;  // Σ_{l<m} a12[l]·P_2,j(m−l)
-      double conv2 = 0.0;
-      for (std::size_t l = 1; l < m; ++l) {
-        conv1 += a12[l] * p2[m - l];
-        conv2 += a21[l] * p1[m - l];
-      }
-      p1[m] = cum_d1 + conv1;
-      p2[m] = cum_d2 + conv2;
-    }
-  }
-  return series;
-}
-
 SparseTrSolver::Result SparseTrSolver::solve(State init, std::size_t n_steps,
                                              SolverScratch* scratch) const {
   FGCS_REQUIRE_MSG(is_available(init),
@@ -81,16 +35,15 @@ SparseTrSolver::Result SparseTrSolver::solve(State init, std::size_t n_steps,
   SolverScratch local;
   SolverScratch& s = scratch != nullptr ? *scratch : local;
 
-  const std::size_t row = index_of(init);
+  const std::size_t read = index_of(init);
+  const std::size_t other = read == kS1 ? kS2 : kS1;
   // Kernel INTO the read row (read → other) and back (other → read). When the
   // read row never crosses over, the other row's recursion is dead weight:
   // its values would only ever be multiplied by zeros.
   std::vector<double>& k_out = s.buffer(0);
   std::vector<double>& k_back = s.buffer(1);
-  fill_weighted_pmf(model_, row == 0 ? kS1 : kS2, row == 0 ? kS2 : kS1, n,
-                    k_out);
-  fill_weighted_pmf(model_, row == 0 ? kS2 : kS1, row == 0 ? kS1 : kS2, n,
-                    k_back);
+  weighted_holding_pmf(model_, read, other, n, k_out);
+  weighted_holding_pmf(model_, other, read, n, k_back);
   const bool need_other = !all_zero(k_out);
   const bool other_convolves = need_other && !all_zero(k_back);
 
@@ -103,8 +56,8 @@ SparseTrSolver::Result SparseTrSolver::solve(State init, std::size_t n_steps,
   double absorbed = 0.0;
   for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj) {
     const std::size_t j = index_of(kFailureStates[jj]);
-    fill_weighted_pmf(model_, row == 0 ? kS1 : kS2, j, n, d_read);
-    if (need_other) fill_weighted_pmf(model_, row == 0 ? kS2 : kS1, j, n, d_other);
+    weighted_holding_pmf(model_, read, j, n, d_read);
+    if (need_other) weighted_holding_pmf(model_, other, j, n, d_other);
     p_read.assign(n + 1, 0.0);
     if (need_other) p_other.assign(n + 1, 0.0);
 

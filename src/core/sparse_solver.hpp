@@ -1,5 +1,7 @@
-// Production temporal-reliability solver exploiting the FGCS sparsity
-// (paper §5.3, Eq. 3 and Fig. 3).
+// The paper's per-call temporal-reliability solver exploiting the FGCS
+// sparsity (paper §5.3, Eq. 3 and Fig. 3). It is the Fig. 4 algorithm and
+// the independent oracle the served path (AbsorptionCurves) is checked
+// against bit for bit.
 //
 // In the five-state model only S1 and S2 have outgoing transitions, so Q and
 // H(m) carry just 8 non-zero (i→k) pairs and only six interval transition
@@ -16,7 +18,6 @@
 
 #include <array>
 #include <cstddef>
-#include <vector>
 
 #include "core/semi_markov.hpp"
 #include "core/solver_scratch.hpp"
@@ -45,11 +46,6 @@ class SparseTrSolver {
   /// (bit-identical results either way).
   Result solve(State init, std::size_t n_steps,
                SolverScratch* scratch = nullptr) const;
-
-  /// The six series P_{i,j}(m), m = 0..n_steps, for validation and plotting.
-  /// Index: [i][j-2] with i in {0,1}; each inner vector has n_steps+1 entries.
-  using Series = std::array<std::array<std::vector<double>, 3>, 2>;
-  Series solve_series(std::size_t n_steps) const;
 
  private:
   const SmpModel& model_;

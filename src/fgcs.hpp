@@ -11,7 +11,6 @@
 #include "core/curve_cache.hpp"     // one-pass Eq. 3 build, both initial states
 #include "core/empirical.hpp"       // empirical TR, evaluation metrics
 #include "core/estimator.hpp"       // Q/H estimation from history logs
-#include "core/fast_solver.hpp"     // O(n log^2 n) FFT renewal solver
 #include "core/incremental_estimator.hpp"  // O(changed-day) sliding (Q,H)
 #include "core/predictor.hpp"       // the public prediction API
 #include "core/prediction_service.hpp"  // batched + memoized fleet serving
@@ -56,7 +55,6 @@
 
 // Utilities.
 #include "util/failpoint.hpp"
-#include "util/fft.hpp"
 #include "util/metrics.hpp"     // counters/gauges/histograms + render_text
 #include "util/parallel.hpp"
 #include "util/trace_span.hpp"  // FGCS_SPAN + the JSONL trace log

@@ -15,20 +15,10 @@
 // in-flight work settles. Calling parallel_for from inside a parallel_for
 // body is safe: the inner caller works its own range, so nesting cannot
 // deadlock.
-//
-// spawn_parallel_for is the retired spawn-per-call implementation (fresh
-// std::threads every call, static chunking). It is kept only as the
-// regression baseline: bench_ext_service measures pool dispatch against it,
-// and the pool tests pin behavioural parity (visit-each-once, exception
-// propagation) between the two.
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "util/thread_pool.hpp"
 
@@ -50,46 +40,6 @@ void parallel_for(std::size_t count, Body&& body, unsigned max_threads = 0) {
   const std::function<void(std::size_t)> wrapped =
       [&body](std::size_t i) { body(i); };
   pool.for_each_index(count, wrapped, max_threads);
-}
-
-/// Legacy spawn-per-call parallel loop: creates up to `max_threads` fresh
-/// std::threads (0 = hardware_concurrency), statically chunked, joined
-/// before returning. Superseded by parallel_for on the persistent pool;
-/// kept as the comparison baseline for benches and parity tests only.
-template <typename Body>
-void spawn_parallel_for(std::size_t count, Body&& body,
-                        unsigned max_threads = 0) {
-  if (count == 0) return;
-  unsigned hw = max_threads == 0 ? std::thread::hardware_concurrency()
-                                 : max_threads;
-  if (hw == 0) hw = 1;
-  const std::size_t threads = std::min<std::size_t>(hw, count);
-
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  const std::size_t chunk = (count + threads - 1) / threads;
-  for (std::size_t t = 0; t < threads; ++t) {
-    const std::size_t lo = t * chunk;
-    const std::size_t hi = std::min(count, lo + chunk);
-    if (lo >= hi) break;
-    pool.emplace_back([&, lo, hi] {
-      try {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace fgcs

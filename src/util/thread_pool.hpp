@@ -24,8 +24,7 @@
 // whose task runs an inner loop drains that loop itself even when every other
 // worker is busy. The first exception thrown by the body is captured, the
 // remaining chunks are abandoned, and the exception is rethrown on the caller
-// after in-flight chunks finish — the same contract the spawn-per-call
-// implementation had.
+// after in-flight chunks finish.
 //
 // Sizing: a default-constructed pool targets hardware_concurrency workers.
 // The process-wide default_pool() additionally honors two environment knobs,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/sparse_solver.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -50,6 +53,39 @@ TEST(AnalyzeFailureTest, MttfConsistentWithSurvivalCurve) {
   const FailureAnalysis a = analyze_failure(model, State::kS2, horizon);
   EXPECT_GE(a.mean_ticks_to_failure, a.survival_at_horizon * horizon - 1e-9);
   EXPECT_LE(a.mean_ticks_to_failure, static_cast<double>(horizon) + 1e-9);
+}
+
+// analyze_failure reads the whole first-passage series off one curve build;
+// recomputing every quantity from the paper's per-call solver, one solve per
+// step, must give the same bits.
+TEST(AnalyzeFailureTest, BitIdenticalToPerStepOracle) {
+  for (int trial = 0; trial < 20; ++trial) {
+    Rng rng(static_cast<std::uint64_t>(6100 + trial));
+    // Pmf support bounds from 2 to 40 against horizons up to 64: supports
+    // both shorter and longer than the horizon.
+    const std::size_t support =
+        2 + static_cast<std::size_t>(rng.uniform_int(0, 38));
+    const SmpModel model = test::random_fgcs_model(
+        support, rng, /*allow_defective=*/trial % 4 == 0);
+    const std::size_t horizon =
+        1 + static_cast<std::size_t>(rng.uniform_int(0, 63));
+    const SparseTrSolver oracle(model);
+    for (const State init : {State::kS1, State::kS2}) {
+      const FailureAnalysis a = analyze_failure(model, init, horizon);
+      double mean = 0.0;
+      for (std::size_t m = 0; m < horizon; ++m) {
+        const auto r = oracle.solve(init, m);
+        mean += std::max(0.0, 1.0 - (r.p_absorb[0] + r.p_absorb[1] +
+                                     r.p_absorb[2]));
+      }
+      const auto at_horizon = oracle.solve(init, horizon);
+      EXPECT_EQ(a.mean_ticks_to_failure, mean)
+          << "trial=" << trial << " horizon=" << horizon;
+      EXPECT_EQ(a.failure_mode, at_horizon.p_absorb) << "trial=" << trial;
+      EXPECT_EQ(a.survival_at_horizon, at_horizon.temporal_reliability)
+          << "trial=" << trial;
+    }
+  }
 }
 
 TEST(AnalyzeFailureTest, RejectsFailureInit) {

@@ -3,14 +3,30 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
-#include "core/fast_solver.hpp"
+#include "core/curve_cache.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
 namespace fgcs {
 namespace {
+
+// The six series P_{i,j}(m), m = 0..n, indexed [i][j-2], read off one
+// AbsorptionCurves build. The build never prunes a row, so comparing
+// SparseTrSolver::solve against it checks solve's dead-row skip.
+using Series = std::array<std::array<std::vector<double>, 3>, 2>;
+
+Series curve_series(const SmpModel& model, std::size_t n) {
+  const AbsorptionCurves curves(model, n);
+  Series series;
+  for (const State init : {State::kS1, State::kS2})
+    for (std::size_t jj = 0; jj < 3; ++jj)
+      for (std::size_t m = 0; m <= n; ++m)
+        series[index_of(init)][jj].push_back(curves.probability(init, jj, m));
+  return series;
+}
 
 TEST(SparseSolverTest, RejectsWrongStateCount) {
   SmpModel model(3, 4);
@@ -113,8 +129,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, TrMonotonicityTest, ::testing::Range(0, 10));
 
 // Pins the ONE shared weighted-pmf convention (semi_markov.hpp): the kernel
 // is lag-indexed — lag l at a[l], a[0] == 0, n+1 entries — with the model's
-// holding pmf entry for l ticks living at pmf[l-1]. Both Eq. 3 solvers and
-// the curve cache consume this helper; this test is the convention's anchor.
+// holding pmf entry for l ticks living at pmf[l-1]. SparseTrSolver and the
+// curve build both consume this helper; this test is the convention's anchor.
 TEST(SparseSolverTest, SharedWeightedPmfConvention) {
   SmpModel model(kStateCount, 8);
   model.set_q(0, 2, 0.4);
@@ -140,27 +156,43 @@ TEST(SparseSolverTest, SharedWeightedPmfConvention) {
   const std::vector<double> zero = weighted_holding_pmf(model, 1, 3, 4);
   ASSERT_EQ(zero.size(), 5u);
   for (const double v : zero) EXPECT_EQ(v, 0.0);
+
+  // The out-parameter form writes the same kernel into a recycled buffer,
+  // whatever that buffer held before.
+  std::vector<double> out(12, 9.0);
+  weighted_holding_pmf(model, 0, 2, 6, out);
+  EXPECT_EQ(out, a);
+  weighted_holding_pmf(model, 0, 2, 2, out);
+  EXPECT_EQ(out, trunc);
 }
 
-// Cross-solver equivalence for the unified helper: the sparse recursion and
-// the FFT renewal solver now read the same kernels, so their series must
-// agree (FFT to float tolerance) on random models — including ones whose
-// pmf support is shorter than the horizon (the old per-solver helpers
-// disagreed exactly there, one indexing lag l at a[l-1], the other at a[l]).
+// Both Eq. 3 paths read the shared lag-indexed kernel, so both must agree
+// with the dense textbook recursion, which indexes the raw pmfs itself, on
+// random models — including horizons at and just past the pmf support, where
+// the old per-solver helpers disagreed (one indexing lag l at a[l-1], the
+// other at a[l]).
 TEST(SparseSolverTest, UnifiedKernelKeepsSolversEquivalent) {
   for (int trial = 0; trial < 10; ++trial) {
     Rng rng(static_cast<std::uint64_t>(8800 + trial));
+    const std::size_t support = 3 + static_cast<std::size_t>(trial % 5);
     const SmpModel model =
-        test::random_fgcs_model(3 + trial % 5, rng,
+        test::random_fgcs_model(support, rng,
                                 /*allow_defective=*/trial % 2 == 0);
-    const std::size_t n = 48;
-    const auto sparse = SparseTrSolver(model).solve_series(n);
-    const auto fast = FastTrSolver(model).solve_series(n);
-    for (std::size_t row = 0; row < 2; ++row)
-      for (std::size_t jj = 0; jj < 3; ++jj)
-        for (std::size_t m = 0; m <= n; ++m)
-          EXPECT_NEAR(sparse[row][jj][m], fast[row][jj][m], 1e-10)
-              << "trial=" << trial << " row=" << row << " m=" << m;
+    const SparseTrSolver sparse(model);
+    const DenseSmpSolver dense(model);
+    const AbsorptionCurves curves(model, 48);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, support,
+                                support + 1, std::size_t{48}})
+      for (const State init : {State::kS1, State::kS2}) {
+        const auto result = sparse.solve(init, n);
+        const std::vector<double> fp = dense.first_passage(index_of(init), n);
+        for (std::size_t jj = 0; jj < 3; ++jj) {
+          EXPECT_NEAR(result.p_absorb[jj], fp[2 + jj], 1e-10)
+              << "trial=" << trial << " n=" << n << " jj=" << jj;
+          EXPECT_NEAR(curves.probability(init, jj, n), fp[2 + jj], 1e-10)
+              << "trial=" << trial << " n=" << n << " jj=" << jj;
+        }
+      }
   }
 }
 
@@ -197,7 +229,7 @@ TEST(SparseSolverTest, DecoupledRowSkipsDeadRecursion) {
   model.set_h_pmf(1, 3, {0.5, 0.5});
 
   const SparseTrSolver solver(model);
-  const auto series = solver.solve_series(8);
+  const auto series = curve_series(model, 8);
   for (const State init : {State::kS1, State::kS2}) {
     const std::size_t row = index_of(init);
     for (const std::size_t n : {1u, 4u, 8u}) {
@@ -225,7 +257,7 @@ TEST(SparseSolverTest, OneWayCouplingStillExact) {
   model.set_h_pmf(1, 2, {0.5, 0.5});
 
   const SparseTrSolver solver(model);
-  const auto series = solver.solve_series(8);
+  const auto series = curve_series(model, 8);
   for (const State init : {State::kS1, State::kS2}) {
     const std::size_t row = index_of(init);
     const auto result = solver.solve(init, 8);
@@ -242,7 +274,7 @@ TEST(SparseSolverTest, SolveMatchesSeriesOnRandomModelsExactly) {
                                 /*allow_defective=*/trial % 3 == 0);
     const SparseTrSolver solver(model);
     const std::size_t n = 1 + static_cast<std::size_t>(trial);
-    const auto series = solver.solve_series(n);
+    const auto series = curve_series(model, n);
     for (const State init : {State::kS1, State::kS2}) {
       const auto result = solver.solve(init, n);
       for (std::size_t jj = 0; jj < 3; ++jj)
@@ -255,15 +287,14 @@ TEST(SparseSolverTest, SolveMatchesSeriesOnRandomModelsExactly) {
 TEST(SparseSolverTest, SeriesStartsAtZero) {
   Rng rng(77);
   const SmpModel model = test::random_fgcs_model(5, rng);
-  const SparseTrSolver solver(model);
-  const auto series = solver.solve_series(6);
-  for (const auto& by_target : series)
-    for (const auto& p : by_target) {
-      ASSERT_EQ(p.size(), 7u);
-      EXPECT_DOUBLE_EQ(p[0], 0.0);
+  const AbsorptionCurves curves(model, 6);
+  for (const State init : {State::kS1, State::kS2})
+    for (std::size_t jj = 0; jj < 3; ++jj) {
+      EXPECT_EQ(curves.probability(init, jj, 0), 0.0);
       // Absorption probabilities are nondecreasing in m.
-      for (std::size_t m = 1; m < p.size(); ++m)
-        EXPECT_GE(p[m] + 1e-12, p[m - 1]);
+      for (std::size_t m = 1; m <= 6; ++m)
+        EXPECT_GE(curves.probability(init, jj, m) + 1e-12,
+                  curves.probability(init, jj, m - 1));
     }
 }
 

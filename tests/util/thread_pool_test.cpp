@@ -112,26 +112,19 @@ TEST(ThreadPoolTest, ForEachPropagatesFirstException) {
   }
 }
 
-TEST(ThreadPoolTest, ExceptionParityWithSpawnPath) {
-  // The retired spawn-per-call path and the pool-backed parallel_for keep
-  // the same contract: the (single) thrown exception surfaces at the call
-  // site with its message intact.
+TEST(ThreadPoolTest, ParallelForExceptionMessageSurfacesIntact) {
+  // The pool-backed parallel_for rethrows the (single) thrown exception at
+  // the call site with its message intact.
   const auto throwing_body = [](std::size_t i) {
-    if (i == 7) throw std::runtime_error("parity boom");
+    if (i == 7) throw std::runtime_error("pool boom");
   };
-  std::string spawn_message, pool_message;
-  try {
-    spawn_parallel_for(32, throwing_body, 4);
-  } catch (const std::runtime_error& error) {
-    spawn_message = error.what();
-  }
+  std::string message;
   try {
     parallel_for(32, throwing_body, 4);
   } catch (const std::runtime_error& error) {
-    pool_message = error.what();
+    message = error.what();
   }
-  EXPECT_EQ(spawn_message, "parity boom");
-  EXPECT_EQ(pool_message, spawn_message);
+  EXPECT_EQ(message, "pool boom");
 }
 
 TEST(ThreadPoolTest, DefaultPoolIsAProcessSingleton) {

@@ -13,12 +13,12 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "harness.hpp"
 #include "ishare/replication_planner.hpp"
-#include "ishare/state_manager.hpp"
 
 using namespace fgcs;
 
@@ -36,12 +36,11 @@ BenchFleet make_fleet(std::string name, std::vector<MachineTrace> traces) {
   BenchFleet fleet;
   fleet.name = std::move(name);
   fleet.traces = std::move(traces);
-  fleet.service = std::make_shared<PredictionService>();
+  fleet.service = std::make_shared<PredictionService>(
+      ServiceConfig{.estimator = bench::bench_estimator_config()});
   fleet.gateways.reserve(fleet.traces.size());
   for (const MachineTrace& trace : fleet.traces)
-    fleet.gateways.emplace_back(trace, Thresholds{},
-                                bench::bench_estimator_config(),
-                                fleet.service);
+    fleet.gateways.emplace_back(trace, Thresholds{}, fleet.service);
   for (Gateway& gateway : fleet.gateways) fleet.registry.publish(gateway);
   return fleet;
 }
@@ -51,22 +50,15 @@ BenchFleet make_fleet(std::string name, std::vector<MachineTrace> traces) {
 std::vector<ReplicaCandidate> probe(const BenchFleet& fleet, SimTime submit,
                                     SimTime expected_wall) {
   const std::vector<Gateway*> gateways = fleet.registry.gateways();
-  std::vector<BatchRequest> batch;
-  batch.reserve(gateways.size());
-  for (const Gateway* gateway : gateways) {
-    const MachineTrace& history = gateway->state_manager().history();
-    batch.push_back(BatchRequest{
-        .trace = &history,
-        .request =
-            StateManager::job_request(history, submit, expected_wall)});
-  }
-  const std::vector<Prediction> predictions =
-      fleet.service->predict_batch(batch);
+  const std::vector<std::optional<Prediction>> predictions =
+      probe_fleet(*fleet.service, gateways, submit, expected_wall);
   std::vector<ReplicaCandidate> candidates;
   candidates.reserve(gateways.size());
   for (std::size_t i = 0; i < gateways.size(); ++i)
-    candidates.push_back(ReplicaCandidate{
-        gateways[i]->machine_id(), predictions[i].temporal_reliability, 1.0});
+    if (predictions[i])
+      candidates.push_back(ReplicaCandidate{
+          gateways[i]->machine_id(), predictions[i]->temporal_reliability,
+          1.0});
   return candidates;
 }
 

@@ -8,6 +8,7 @@
 //   * adaptive    — checkpoint interval chosen from the predicted TR
 //                   (frequent when the machine looks risky, rare when not).
 #include <iostream>
+#include <memory>
 
 #include "harness.hpp"
 
@@ -23,17 +24,19 @@ int main() {
   const std::vector<MachineTrace> fleet =
       generate_fleet(params, bench::kFleetSeed + 9, 4, 30, "flaky");
 
+  const auto service = std::make_shared<PredictionService>(
+      ServiceConfig{.estimator = bench::bench_estimator_config()});
   std::vector<Gateway> gateways;
   gateways.reserve(fleet.size());
   Thresholds thresholds;
   for (const MachineTrace& trace : fleet)
-    gateways.emplace_back(trace, thresholds, bench::bench_estimator_config());
+    gateways.emplace_back(trace, thresholds, service);
   Registry registry;
   for (Gateway& g : gateways) registry.publish(g);
 
   SchedulerConfig sched_config;
   sched_config.retry_delay = 300;
-  const JobScheduler scheduler(registry, sched_config);
+  const JobScheduler scheduler(registry, service, sched_config);
 
   CheckpointConfig checkpoint;
   checkpoint.cost_seconds = 60;

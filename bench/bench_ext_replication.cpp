@@ -6,6 +6,7 @@
 // replication factor and reports the response-time / CPU-cost trade,
 // alongside the single-machine restart policy for context.
 #include <iostream>
+#include <memory>
 
 #include "harness.hpp"
 
@@ -20,11 +21,13 @@ int main() {
   const std::vector<MachineTrace> fleet =
       generate_fleet(params, bench::kFleetSeed + 17, 6, 30, "rep");
 
+  const auto service = std::make_shared<PredictionService>(
+      ServiceConfig{.estimator = bench::bench_estimator_config()});
   std::vector<Gateway> gateways;
   gateways.reserve(fleet.size());
   Thresholds thresholds;
   for (const MachineTrace& trace : fleet)
-    gateways.emplace_back(trace, thresholds, bench::bench_estimator_config());
+    gateways.emplace_back(trace, thresholds, service);
   Registry registry;
   for (Gateway& g : gateways) registry.publish(g);
 
@@ -40,7 +43,7 @@ int main() {
   {
     SchedulerConfig config;
     config.retry_delay = 300;
-    const JobScheduler scheduler(registry, config);
+    const JobScheduler scheduler(registry, service, config);
     RunningStats response;
     int completed = 0, total = 0;
     for (int day = 22; day < 27; ++day) {
@@ -63,7 +66,7 @@ int main() {
   }
 
   for (const int replicas : {1, 2, 3, 4}) {
-    const ReplicatingScheduler scheduler(registry, replicas);
+    const ReplicatingScheduler scheduler(registry, service, replicas);
     RunningStats response, cpu_cost, failures;
     int completed = 0, total = 0;
     for (int day = 22; day < 27; ++day) {

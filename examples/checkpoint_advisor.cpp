@@ -9,6 +9,7 @@
 //
 // Build & run:  ./checkpoint_advisor
 #include <cstdio>
+#include <memory>
 
 #include "fgcs.hpp"
 
@@ -23,12 +24,13 @@ int main() {
   const MachineTrace trace = TraceGenerator(flaky, 21).generate("flaky-0", 21);
 
   Thresholds thresholds;
-  Gateway gateway(trace, thresholds);
+  const auto service = std::make_shared<PredictionService>();
+  Gateway gateway(trace, thresholds, service);
   Registry registry;
   registry.publish(gateway);
   SchedulerConfig config;
   config.retry_delay = 300;
-  const JobScheduler scheduler(registry, config);
+  const JobScheduler scheduler(registry, service, config);
 
   const GuestJobSpec job{.job_id = "monte-carlo-sim",
                          .cpu_seconds = 6.0 * 3600.0,
@@ -64,7 +66,7 @@ int main() {
 
   // Show the advisor's raw signal: predicted TR for the next hour, sampled
   // through the submission day.
-  const StateManager manager(trace);
+  const StateManager manager(trace, service);
   std::printf("\npredicted TR for the next hour, through day 15:\n");
   for (SimTime hour = 6; hour <= 20; hour += 2) {
     const SimTime now = 15 * kSecondsPerDay + hour * kSecondsPerHour;

@@ -40,10 +40,10 @@ int main() {
   for (const MachineTrace& trace : traces) {
     machines.push_back(make_replay_machine(trace, thresholds));
     monitors.push_back(std::make_unique<ResourceMonitor>(*machines.back()));
-    gateways.emplace_back(trace, thresholds, EstimatorConfig{}, service);
+    gateways.emplace_back(trace, thresholds, service);
   }
   for (Gateway& g : gateways) registry.publish(g);
-  const JobScheduler scheduler(registry, SchedulerConfig{}, service);
+  const JobScheduler scheduler(registry, service);
 
   EventQueue clock;
   const SimTime day_start = kHistoryDays * kSecondsPerDay;

@@ -7,6 +7,7 @@
 //
 // Build & run:  ./job_scheduling
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "fgcs.hpp"
@@ -32,9 +33,11 @@ int main() {
   traces.push_back(TraceGenerator(busy, 13).generate("busy-1", 14));
 
   Thresholds thresholds;  // paper defaults
+  const auto service = std::make_shared<PredictionService>();
   std::vector<Gateway> gateways;
   gateways.reserve(traces.size());
-  for (const MachineTrace& trace : traces) gateways.emplace_back(trace, thresholds);
+  for (const MachineTrace& trace : traces)
+    gateways.emplace_back(trace, thresholds, service);
 
   Registry registry;
   for (Gateway& g : gateways) registry.publish(g);
@@ -48,7 +51,7 @@ int main() {
     std::printf("  %-8s TR = %.4f\n", g->machine_id().c_str(),
                 g->query_reliability(submit, duration));
 
-  const JobScheduler scheduler(registry);
+  const JobScheduler scheduler(registry, service);
   const GuestJobSpec job{.job_id = "render-frame-batch",
                          .cpu_seconds = 2.5 * 3600.0,
                          .mem_mb = 150};

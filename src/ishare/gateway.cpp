@@ -42,11 +42,10 @@ const char* to_string(CheckpointMode mode) {
 }
 
 Gateway::Gateway(const MachineTrace& trace, Thresholds thresholds,
-                 EstimatorConfig config,
                  std::shared_ptr<PredictionService> service)
     : trace_(trace),
       thresholds_(thresholds),
-      state_manager_(trace, config, std::move(service)) {
+      state_manager_(trace, std::move(service)) {
   validate(thresholds_);
 }
 

@@ -9,10 +9,9 @@
 //
 // The gateway holds only non-owning views: the trace must outlive it, and
 // query_reliability/execute may be called concurrently only when the trace
-// is not being appended to at the same time. Constructed with a shared
-// PredictionService, all TR queries (including the adaptive-checkpoint
-// probes inside execute) go through the fleet-wide memoizing cache instead
-// of a per-gateway predictor.
+// is not being appended to at the same time. All TR queries (including the
+// adaptive-checkpoint probes inside execute) go through the fleet-wide
+// PredictionService its state manager holds.
 #pragma once
 
 #include <cstdint>
@@ -63,10 +62,9 @@ class Gateway {
  public:
   /// `trace` is the machine's full monitored timeline; predictions at time t
   /// only consult days strictly before t's day, execution replays from t on.
-  /// A non-null `service` routes all TR queries through the shared cache.
+  /// `service` answers every TR query and must not be null.
   Gateway(const MachineTrace& trace, Thresholds thresholds,
-          EstimatorConfig config = {},
-          std::shared_ptr<PredictionService> service = nullptr);
+          std::shared_ptr<PredictionService> service);
 
   const std::string& machine_id() const { return trace_.machine_id(); }
   const StateManager& state_manager() const { return state_manager_; }

@@ -1,8 +1,5 @@
 #include "ishare/registry.hpp"
 
-#include <utility>
-
-#include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/metrics.hpp"
 
@@ -44,89 +41,6 @@ std::vector<Gateway*> Registry::gateways() const {
     out.push_back(gateway);
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// ShardedRegistry
-
-ShardedRegistry::ShardedRegistry(HashRing ring) : ring_(std::move(ring)) {
-  FGCS_REQUIRE_MSG(!ring_.empty(), "sharded registry needs a non-empty ring");
-  for (const RingMember& member : ring_.members()) shards_[member.node_id];
-}
-
-void ShardedRegistry::publish(Gateway& gateway) {
-  const RingMember* owner = ring_.owner(gateway.machine_id());
-  FGCS_REQUIRE_MSG(owner != nullptr, "sharded registry ring is empty");
-  shards_.at(owner->node_id).publish(gateway);
-}
-
-bool ShardedRegistry::unpublish(const std::string& machine_id) {
-  bool removed = false;
-  for (auto& [node_id, shard] : shards_)
-    removed = shard.unpublish(machine_id) || removed;
-  return removed;
-}
-
-void ShardedRegistry::rebalance(HashRing ring) {
-  FGCS_REQUIRE_MSG(!ring.empty(), "sharded registry needs a non-empty ring");
-  // Collect every entry once (dedup by id — both copies of a mid-move
-  // machine are the same gateway), then publish-before-drop onto the new
-  // ring so enumeration never sees a hole during the move.
-  std::map<std::string, Gateway*> entries;
-  for (const auto& [node_id, shard] : shards_)
-    for (Gateway* gateway : shard.gateways())
-      entries.emplace(gateway->machine_id(), gateway);
-  ring_ = std::move(ring);
-  std::map<std::string, Registry> shards;
-  for (const RingMember& member : ring_.members()) shards[member.node_id];
-  for (const auto& [id, gateway] : entries)
-    shards.at(ring_.owner(id)->node_id).publish(*gateway);
-  shards_ = std::move(shards);
-}
-
-Registry& ShardedRegistry::shard(const std::string& node_id) {
-  const auto it = shards_.find(node_id);
-  if (it == shards_.end())
-    throw DataError("sharded registry: unknown node '" + node_id + "'");
-  return it->second;
-}
-
-const Registry& ShardedRegistry::shard(const std::string& node_id) const {
-  const auto it = shards_.find(node_id);
-  if (it == shards_.end())
-    throw DataError("sharded registry: unknown node '" + node_id + "'");
-  return it->second;
-}
-
-Gateway* ShardedRegistry::lookup(const std::string& machine_id) const {
-  const RingMember* owner = ring_.owner(machine_id);
-  if (owner != nullptr) {
-    if (Gateway* gateway = shards_.at(owner->node_id).lookup(machine_id))
-      return gateway;
-  }
-  // Mid-move or stale-ring entry: the machine may still sit on a shard the
-  // current ring no longer names as its owner.
-  for (const auto& [node_id, shard] : shards_) {
-    if (owner != nullptr && node_id == owner->node_id) continue;
-    if (Gateway* gateway = shard.lookup(machine_id)) return gateway;
-  }
-  return nullptr;
-}
-
-std::vector<Gateway*> ShardedRegistry::gateways() const {
-  std::vector<Gateway*> out;
-  for (const RingMember& member : ring_.members()) {
-    const std::vector<Gateway*> shard_gateways =
-        shards_.at(member.node_id).gateways();
-    out.insert(out.end(), shard_gateways.begin(), shard_gateways.end());
-  }
-  return out;
-}
-
-std::size_t ShardedRegistry::size() const {
-  std::size_t total = 0;
-  for (const auto& [node_id, shard] : shards_) total += shard.size();
-  return total;
 }
 
 }  // namespace fgcs

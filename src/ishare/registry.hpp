@@ -1,27 +1,19 @@
 // Resource publication and discovery.
 //
 // ishare uses a P2P network for publication/discovery (paper §5.1, ref [24]);
-// the framework contract is publish / unpublish / lookup / enumerate.
-// RegistryView is that contract as the schedulers consume it; two
-// implementations provide it:
-//
-//   * Registry — the in-process single-node registry (DESIGN.md §2):
-//     deterministic, ordered by machine id, one flat map.
-//   * ShardedRegistry — the decentralized form (DESIGN.md §11): machine ids
-//     partitioned across registry nodes by a consistent-hash ring
-//     (hash_ring.hpp), one Registry shard per ring member. publish/lookup
-//     route by ring ownership; enumeration concatenates the shards in
-//     member order. During a ring change a machine may transiently be
-//     published on both its old and new shard (move = publish-then-drop),
-//     so enumeration can yield the same machine id twice — consumers that
-//     aggregate over the fleet must dedup by id (ReplicatingScheduler's
-//     fleet probe does; tests/ishare/sharded_registry_test.cpp pins it).
+// the framework contract is publish / unpublish / lookup / enumerate. This is
+// the in-process registry the schedulers consume (DESIGN.md §2):
+// deterministic, ordered by machine id, one flat map, so a machine id is
+// enumerated at most once. The decentralized form of discovery lives in the
+// serving tier — the consistent-hash ring inside PredictionServer and
+// ShardedPredictionClient, kept consistent by gossip (DESIGN.md §11).
 //
 // Entries are non-owning: a published gateway must outlive its registry
 // entry (unpublish before destroying it). Enumeration order is what makes
-// scheduler selection — serial scan or batched predict_batch — reproducible
-// run-to-run. Neither implementation is thread-safe; publish/unpublish from
-// one thread, or synchronize externally.
+// scheduler selection reproducible run-to-run. Lookups and enumeration may
+// be thinned by injected churn (failpoints); callers treat a lookup miss and
+// a partial enumeration as normal degraded modes, never as fatal. Not
+// thread-safe: publish/unpublish from one thread, or synchronize externally.
 #pragma once
 
 #include <map>
@@ -29,30 +21,10 @@
 #include <vector>
 
 #include "ishare/gateway.hpp"
-#include "ishare/hash_ring.hpp"
 
 namespace fgcs {
 
-/// The discovery contract the schedulers consume: point lookup plus fleet
-/// enumeration. Implementations may inject churn (failpoints), shard, or
-/// forward — callers must treat a lookup miss and a partial enumeration as
-/// normal degraded modes, never as fatal.
-class RegistryView {
- public:
-  virtual ~RegistryView() = default;
-
-  /// nullptr when not found (or when churn made the entry look lost).
-  virtual Gateway* lookup(const std::string& machine_id) const = 0;
-
-  /// All published gateways this view can currently enumerate. May contain
-  /// duplicates of a machine mid-move between shards; may omit entries
-  /// under injected churn.
-  virtual std::vector<Gateway*> gateways() const = 0;
-
-  virtual std::size_t size() const = 0;
-};
-
-class Registry final : public RegistryView {
+class Registry {
  public:
   /// Publishes a gateway (non-owning; the gateway must outlive the registry
   /// entry). Re-publishing the same machine id replaces the entry.
@@ -61,60 +33,17 @@ class Registry final : public RegistryView {
   /// Removes the entry; returns false if the id was not published.
   bool unpublish(const std::string& machine_id);
 
-  /// nullptr when not found.
-  Gateway* lookup(const std::string& machine_id) const override;
+  /// nullptr when not found (or when churn made the entry look lost).
+  Gateway* lookup(const std::string& machine_id) const;
 
-  /// All published gateways, ordered by machine id.
-  std::vector<Gateway*> gateways() const override;
+  /// All published gateways, ordered by machine id; may omit entries under
+  /// injected churn.
+  std::vector<Gateway*> gateways() const;
 
-  std::size_t size() const override { return entries_.size(); }
+  std::size_t size() const { return entries_.size(); }
 
  private:
   std::map<std::string, Gateway*> entries_;
-};
-
-/// Consistent-hash-sharded registry: one Registry per ring member, machine
-/// ids routed to their owning shard. rebalance() re-homes entries after a
-/// ring change with publish-before-drop semantics, so enumeration stays
-/// complete throughout a move at the cost of transient duplicates.
-class ShardedRegistry final : public RegistryView {
- public:
-  explicit ShardedRegistry(HashRing ring);
-
-  /// Publishes to the key's owning shard. Throws PreconditionError on an
-  /// empty ring.
-  void publish(Gateway& gateway);
-
-  /// Unpublishes from *every* shard holding the id (a mid-move machine has
-  /// two entries). Returns false when no shard held it.
-  bool unpublish(const std::string& machine_id);
-
-  /// Installs a new ring and re-homes every entry: each machine is
-  /// published on its new owner first, then dropped from the old shard.
-  void rebalance(HashRing ring);
-
-  const HashRing& ring() const { return ring_; }
-
-  /// Direct shard access (tests stage mid-move states with it). Throws
-  /// DataError for an id not on the ring.
-  Registry& shard(const std::string& node_id);
-  const Registry& shard(const std::string& node_id) const;
-
-  /// Ring-routed lookup: asks the owning shard first, then falls back to a
-  /// scan of the others (a mid-move or stale-ring entry is still served).
-  Gateway* lookup(const std::string& machine_id) const override;
-
-  /// Concatenates shard enumerations in ring-member order. A machine
-  /// published on two shards mid-move appears twice — by design; fleet
-  /// aggregators dedup by id.
-  std::vector<Gateway*> gateways() const override;
-
-  /// Total published entries across shards (duplicates counted).
-  std::size_t size() const override;
-
- private:
-  HashRing ring_;
-  std::map<std::string, Registry> shards_;  // by node_id
 };
 
 }  // namespace fgcs

@@ -1,11 +1,8 @@
 #include "ishare/replication.hpp"
 
 #include <algorithm>
-#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "ishare/state_manager.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/metrics.hpp"
@@ -31,24 +28,25 @@ struct ReplicationMetrics {
 }  // namespace
 
 ReplicatingScheduler::ReplicatingScheduler(
-    const RegistryView& registry, int replicas, SchedulerConfig config,
-    std::shared_ptr<PredictionService> service)
+    const Registry& registry, std::shared_ptr<PredictionService> service,
+    int replicas, SchedulerConfig config)
     : registry_(registry),
+      service_(std::move(service)),
       replicas_(replicas),
-      config_(config),
-      service_(std::move(service)) {
+      config_(config) {
+  FGCS_REQUIRE(service_ != nullptr);
   FGCS_REQUIRE(replicas >= 1);
 }
 
 ReplicatingScheduler::ReplicatingScheduler(
-    const RegistryView& registry, PlannerConfig planner,
-    SchedulerConfig config,
-    std::shared_ptr<PredictionService> service)
+    const Registry& registry, std::shared_ptr<PredictionService> service,
+    PlannerConfig planner, SchedulerConfig config)
     : registry_(registry),
+      service_(std::move(service)),
       replicas_(planner.fallback_replicas),
       planner_(planner),
-      config_(config),
-      service_(std::move(service)) {
+      config_(config) {
+  FGCS_REQUIRE(service_ != nullptr);
   // Surface malformed planner bounds at construction, not first submission.
   FGCS_REQUIRE(planner.target_availability >= 0.0 &&
                planner.target_availability <= 1.0);
@@ -59,49 +57,15 @@ ReplicatingScheduler::ReplicatingScheduler(
 
 std::vector<std::pair<double, Gateway*>> ReplicatingScheduler::rank_fleet(
     SimTime submit_time, SimTime expected_wall) const {
-  std::vector<Gateway*> gateways = registry_.gateways();
-  // A sharded registry mid-rebalance (or an enumeration-drop storm racing a
-  // shard move) can yield the same machine twice; keep the first occurrence
-  // so the planner never places two "replicas" on one host.
-  {
-    std::unordered_set<std::string_view> seen;
-    seen.reserve(gateways.size());
-    std::erase_if(gateways, [&seen](const Gateway* gateway) {
-      return !seen.insert(gateway->machine_id()).second;
-    });
-  }
+  const std::vector<Gateway*> gateways = registry_.gateways();
+  const std::vector<std::optional<Prediction>> predictions =
+      probe_fleet(*service_, gateways, submit_time, expected_wall);
+  // A machine whose estimation failed is skipped for this placement.
   std::vector<std::pair<double, Gateway*>> ranked;
   ranked.reserve(gateways.size());
-  if (service_ && !gateways.empty()) {
-    // One batched probe over the whole fleet through the shared cache; a
-    // machine whose estimation fails comes back nullopt and is skipped for
-    // this placement — same degraded mode as the serial path below.
-    std::vector<BatchRequest> batch;
-    batch.reserve(gateways.size());
-    for (const Gateway* gateway : gateways) {
-      const MachineTrace& history = gateway->state_manager().history();
-      batch.push_back(BatchRequest{
-          .trace = &history,
-          .request =
-              StateManager::job_request(history, submit_time, expected_wall)});
-    }
-    const std::vector<std::optional<Prediction>> predictions =
-        service_->try_predict_batch(batch);
-    for (std::size_t i = 0; i < predictions.size(); ++i) {
-      if (!predictions[i].has_value()) continue;
+  for (std::size_t i = 0; i < predictions.size(); ++i)
+    if (predictions[i])
       ranked.emplace_back(predictions[i]->temporal_reliability, gateways[i]);
-    }
-  } else {
-    for (Gateway* gateway : gateways) {
-      try {
-        ranked.emplace_back(
-            gateway->query_reliability(submit_time, expected_wall), gateway);
-      } catch (const DataError&) {
-        // Degraded mode: a machine whose prediction fails is skipped for
-        // this placement instead of aborting the whole submission.
-      }
-    }
-  }
   std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
     return a.second->machine_id() < b.second->machine_id();

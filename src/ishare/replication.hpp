@@ -19,10 +19,11 @@
 // Either way each replica runs once with no restarts, and the outcome
 // reports the first completion plus the total CPU spent across replicas —
 // the cost side of the trade. The fleet probe goes through the shared
-// PredictionService as ONE batched call when a service is supplied (like
+// PredictionService as ONE batched call (probe_fleet, like
 // JobScheduler::select_machine); machines whose prediction fails are
-// skipped, never fatal. With k = 1 the fixed policy degenerates to a single
-// no-retry placement.
+// skipped, never fatal. The registry enumerates each machine once, so no
+// host can receive two replicas. With k = 1 the fixed policy degenerates to
+// a single no-retry placement.
 #pragma once
 
 #include <memory>
@@ -57,18 +58,17 @@ struct ReplicatedOutcome {
 
 class ReplicatingScheduler {
  public:
-  /// Fixed-degree policy: always the `replicas` highest-TR machines. A
-  /// non-null `service` batches the per-job fleet probe through the shared
-  /// prediction cache.
-  ReplicatingScheduler(const RegistryView& registry, int replicas,
-                       SchedulerConfig config = {},
-                       std::shared_ptr<PredictionService> service = nullptr);
+  /// Fixed-degree policy: always the `replicas` highest-TR machines.
+  /// `service` answers the per-job fleet probe and must not be null.
+  ReplicatingScheduler(const Registry& registry,
+                       std::shared_ptr<PredictionService> service,
+                       int replicas, SchedulerConfig config = {});
 
   /// Availability-target policy: plan_replicas() against `planner` on every
   /// submission, using per-machine TR over the job's expected window.
-  ReplicatingScheduler(const RegistryView& registry, PlannerConfig planner,
-                       SchedulerConfig config = {},
-                       std::shared_ptr<PredictionService> service = nullptr);
+  ReplicatingScheduler(const Registry& registry,
+                       std::shared_ptr<PredictionService> service,
+                       PlannerConfig planner, SchedulerConfig config = {});
 
   /// Starts the job on the chosen replica set at `submit_time` and reports
   /// the first completion. Each replica runs without restarts; redundancy
@@ -82,11 +82,11 @@ class ReplicatingScheduler {
   std::vector<std::pair<double, Gateway*>> rank_fleet(SimTime submit_time,
                                                       SimTime expected_wall) const;
 
-  const RegistryView& registry_;
+  const Registry& registry_;
+  std::shared_ptr<PredictionService> service_;
   int replicas_;
   std::optional<PlannerConfig> planner_;
   SchedulerConfig config_;
-  std::shared_ptr<PredictionService> service_;
 };
 
 }  // namespace fgcs

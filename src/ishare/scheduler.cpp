@@ -20,7 +20,6 @@ namespace {
 struct SchedulerMetrics {
   Counter& selection_rounds;
   Counter& selection_empty;
-  Counter& batch_fallbacks;
   Counter& retries;
   Histogram& backoff_seconds;
 
@@ -28,7 +27,6 @@ struct SchedulerMetrics {
     static SchedulerMetrics metrics{
         MetricsRegistry::global().counter("scheduler.selection.rounds.total"),
         MetricsRegistry::global().counter("scheduler.selection.empty.total"),
-        MetricsRegistry::global().counter("scheduler.batch_fallbacks.total"),
         MetricsRegistry::global().counter("scheduler.retries.total"),
         // Sim-time delays, not wall latencies: bucket by the plausible
         // retry-delay range (seconds to an hour) instead of µs decades.
@@ -41,10 +39,11 @@ struct SchedulerMetrics {
 
 }  // namespace
 
-JobScheduler::JobScheduler(const RegistryView& registry,
-                           SchedulerConfig config,
-                           std::shared_ptr<PredictionService> service)
-    : registry_(registry), config_(config), service_(std::move(service)) {
+JobScheduler::JobScheduler(const Registry& registry,
+                           std::shared_ptr<PredictionService> service,
+                           SchedulerConfig config)
+    : registry_(registry), service_(std::move(service)), config_(config) {
+  FGCS_REQUIRE(service_ != nullptr);
   FGCS_REQUIRE(config.max_attempts >= 1);
   FGCS_REQUIRE(config.retry_delay >= 0);
   FGCS_REQUIRE(config.wall_time_factor >= 1.0);
@@ -75,66 +74,40 @@ SimTime retry_backoff_delay(const SchedulerConfig& config, int retry,
   return result;
 }
 
-namespace {
-
-/// Serial fleet scan; machines whose prediction fails are skipped, so one
-/// broken estimation pipeline degrades placement instead of aborting it.
-Gateway* serial_select(const std::vector<Gateway*>& gateways, SimTime now,
-                       SimTime duration) {
-  Gateway* best = nullptr;
-  double best_tr = -1.0;
-  for (Gateway* gateway : gateways) {
-    double tr;
-    try {
-      tr = gateway->query_reliability(now, duration);
-    } catch (const DataError&) {
-      continue;
-    }
-    if (tr > best_tr) {
-      best_tr = tr;
-      best = gateway;
-    }
+std::vector<std::optional<Prediction>> probe_fleet(
+    PredictionService& service, std::span<Gateway* const> gateways,
+    SimTime now, SimTime duration) {
+  if (gateways.empty()) return {};
+  std::vector<BatchRequest> batch;
+  batch.reserve(gateways.size());
+  for (const Gateway* gateway : gateways) {
+    const MachineTrace& history = gateway->state_manager().history();
+    batch.push_back(BatchRequest{
+        .trace = &history,
+        .request = StateManager::job_request(history, now, duration)});
   }
-  return best;
+  return service.try_predict_batch(batch);
 }
-
-}  // namespace
 
 Gateway* JobScheduler::select_machine(SimTime now, SimTime duration) const {
   FGCS_SPAN("scheduler.select");
   SchedulerMetrics& metrics = SchedulerMetrics::get();
   metrics.selection_rounds.add();
   const std::vector<Gateway*> gateways = registry_.gateways();
-  if (service_ && !gateways.empty()) {
-    // One batched probe over the whole fleet; ties resolve to the first
-    // (lowest machine id) exactly like the serial strict-greater scan.
-    std::vector<BatchRequest> batch;
-    batch.reserve(gateways.size());
-    for (const Gateway* gateway : gateways) {
-      const MachineTrace& history = gateway->state_manager().history();
-      batch.push_back(BatchRequest{
-          .trace = &history,
-          .request = StateManager::job_request(history, now, duration)});
-    }
-    try {
-      const std::vector<Prediction> predictions =
-          service_->predict_batch(batch);
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < predictions.size(); ++i) {
-        if (predictions[i].temporal_reliability >
-            predictions[best].temporal_reliability)
-          best = i;
-      }
-      return gateways[best];
-    } catch (const DataError&) {
-      // The batch died on one machine's failure; fall through to the serial
-      // scan, which skips exactly the machines that cannot be predicted.
-      metrics.batch_fallbacks.add();
+  const std::vector<std::optional<Prediction>> predictions =
+      probe_fleet(*service_, gateways, now, duration);
+  // Strictly greater wins, so ties resolve to the first (lowest machine id);
+  // a machine that could not be predicted is skipped.
+  Gateway* best = nullptr;
+  double best_tr = -1.0;
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    if (predictions[i] && predictions[i]->temporal_reliability > best_tr) {
+      best_tr = predictions[i]->temporal_reliability;
+      best = gateways[i];
     }
   }
-  Gateway* selected = serial_select(gateways, now, duration);
-  if (selected == nullptr) metrics.selection_empty.add();
-  return selected;
+  if (best == nullptr) metrics.selection_empty.add();
+  return best;
 }
 
 JobOutcome JobScheduler::run_job(const GuestJobSpec& job, SimTime submit_time,

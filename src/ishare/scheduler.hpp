@@ -7,22 +7,24 @@
 // after each failure, re-selecting the machine each time.
 //
 // The fleet probe is the hot path at scale: every placement queries every
-// machine with the same window. Constructed with a PredictionService, the
-// scheduler issues that probe as one predict_batch (fanned out over the
-// thread pool) instead of N sequential per-gateway predictor runs; selection
-// order and results are identical to the serial path. On a warm cache each
-// per-machine probe returns the entry's stored Prediction — no estimator
-// scan, no solver construction, no Eq. 3 recursion — so repeat placements
-// cost cache lookups, not solves.
+// machine with the same window. The scheduler issues it as one
+// try_predict_batch against the shared PredictionService, fanned out over
+// the thread pool (probe_fleet below). On a warm cache each per-machine
+// probe returns the entry's stored Prediction — no estimator scan, no solver
+// construction, no Eq. 3 recursion — so repeat placements cost cache
+// lookups, not solves.
 //
 // Degraded modes (exercised by tests/chaos): a machine whose prediction
-// fails is skipped during selection — never fatal; a selection round that
+// fails answers nullopt and is skipped during selection — never fatal, and
+// never re-probed; a selection round that
 // yields nothing (registry churn, estimator outage) is retried with backoff
 // until the job's deadline; retries pause with capped exponential backoff
 // plus seeded jitter when backoff_factor > 1 (fixed legacy delay otherwise).
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,15 +78,24 @@ struct JobOutcome {
   SimTime response_time() const { return finish_time - submit_time; }
 };
 
+/// The fleet probe both schedulers issue: one try_predict_batch over
+/// `gateways` for a job of `duration` wall seconds submitted at `now`. The
+/// answers align with `gateways`; a machine whose estimation failed is
+/// nullopt. An empty fleet issues no batch.
+std::vector<std::optional<Prediction>> probe_fleet(
+    PredictionService& service, std::span<Gateway* const> gateways,
+    SimTime now, SimTime duration);
+
 class JobScheduler {
  public:
-  /// A non-null `service` turns the per-placement fleet probe into one
-  /// batched predict_batch call against the shared cache.
-  JobScheduler(const RegistryView& registry, SchedulerConfig config = {},
-               std::shared_ptr<PredictionService> service = nullptr);
+  /// `service` answers the per-placement fleet probe and must not be null.
+  JobScheduler(const Registry& registry,
+               std::shared_ptr<PredictionService> service,
+               SchedulerConfig config = {});
 
   /// The gateway with the highest TR for a job of `duration` wall seconds
-  /// submitted at `now`; nullptr when nothing is published.
+  /// submitted at `now` (the lowest machine id on ties); nullptr when no
+  /// published machine could be predicted.
   Gateway* select_machine(SimTime now, SimTime duration) const;
 
   /// Runs `job` to completion (or until `give_up_at` / attempts exhausted),
@@ -95,9 +106,9 @@ class JobScheduler {
                      const CheckpointConfig& checkpoint = {}) const;
 
  private:
-  const RegistryView& registry_;
-  SchedulerConfig config_;
+  const Registry& registry_;
   std::shared_ptr<PredictionService> service_;
+  SchedulerConfig config_;
 };
 
 }  // namespace fgcs

@@ -4,47 +4,25 @@
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
 #include "util/metrics.hpp"
 
 namespace fgcs {
 
-namespace {
-
-struct StateManagerMetrics {
-  Counter& predictions;
-  Counter& predict_failures;
-
-  static StateManagerMetrics& get() {
-    static StateManagerMetrics metrics{
-        MetricsRegistry::global().counter("state_manager.predictions.total"),
-        MetricsRegistry::global().counter(
-            "state_manager.predict_failures.total")};
-    return metrics;
-  }
-};
-
-}  // namespace
-
-StateManager::StateManager(const MachineTrace& history, EstimatorConfig config,
+StateManager::StateManager(const MachineTrace& history,
                            std::shared_ptr<PredictionService> service)
-    : history_(history), predictor_(config), service_(std::move(service)) {}
+    : history_(history), service_(std::move(service)) {
+  FGCS_REQUIRE(service_ != nullptr);
+}
 
 Prediction StateManager::predict(std::int64_t target_day,
                                  const TimeWindow& window) const {
-  // Chaos hook: the estimation pipeline fails (history log unreadable,
-  // estimator daemon down). Consumers must degrade, not crash (DESIGN.md §7).
-  StateManagerMetrics& metrics = StateManagerMetrics::get();
-  if (FGCS_FAILPOINT("state_manager.predict.fail")) {
-    metrics.predict_failures.add();
-    throw DataError("injected: state manager prediction failure");
-  }
-  const PredictionRequest request{.target_day = target_day,
-                                  .window = window,
-                                  .initial_state = std::nullopt};
-  metrics.predictions.add();
-  if (service_) return service_->predict(history_, request);
-  return predictor_.predict(history_, request);
+  static Counter& predictions =
+      MetricsRegistry::global().counter("state_manager.predictions.total");
+  predictions.add();
+  return service_->predict(history_, PredictionRequest{
+                                         .target_day = target_day,
+                                         .window = window,
+                                         .initial_state = std::nullopt});
 }
 
 PredictionRequest StateManager::job_request(const MachineTrace& history,

@@ -3,27 +3,24 @@
 //
 // The manager is the bridge between the monitoring side (a MachineTrace the
 // resource monitor appends to, one day at a time) and the prediction side
-// (AvailabilityPredictor, or a fleet-shared PredictionService). It owns no
-// data: the history is a non-owning view, so one trace can back a gateway,
-// its monitor, and the evaluation harness simultaneously.
+// (the fleet-shared PredictionService). It owns no data: the history is a
+// non-owning view, so one trace can back a gateway, its monitor, and the
+// evaluation harness simultaneously.
 //
-// When constructed with a PredictionService, every query routes through the
-// service's memoizing cache — the intended configuration for fleet
-// deployments, where many managers share one service and the scheduler's
-// per-placement probes hit cached answers: a warm query is a copy of the
-// stored Prediction, never a fresh estimate or Eq. 3 solve. Whoever appends
-// days to the
-// history must call PredictionService::invalidate(machine_id) afterwards
-// (see prediction_service.hpp for the staleness contract). Without a
-// service, queries run a private AvailabilityPredictor per call — the
-// paper's original single-machine behaviour.
+// Every query routes through the service's memoizing cache, and the
+// service's EstimatorConfig is the one the answers are estimated with. Many
+// managers share one service, so the scheduler's per-placement probes hit
+// cached answers: a warm query is a copy of the stored Prediction, never a
+// fresh estimate or Eq. 3 solve, and every answer is bit-identical to the
+// paper's per-call predictor with the same config. Whoever appends days to
+// the history must call PredictionService::invalidate(machine_id)
+// afterwards (see prediction_service.hpp for the staleness contract).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "core/prediction_service.hpp"
-#include "core/predictor.hpp"
 #include "trace/machine_trace.hpp"
 #include "trace/window.hpp"
 
@@ -32,16 +29,12 @@ namespace fgcs {
 class StateManager {
  public:
   /// Non-owning view of the machine's history log; the log must outlive the
-  /// manager and may grow (new days appended by the resource monitor). When
-  /// `service` is non-null it answers all queries (its EstimatorConfig wins
-  /// over `config`; pass the same one to keep results identical).
-  StateManager(const MachineTrace& history, EstimatorConfig config = {},
-               std::shared_ptr<PredictionService> service = nullptr);
+  /// manager and may grow (new days appended by the resource monitor).
+  /// `service` answers every query and must not be null.
+  StateManager(const MachineTrace& history,
+               std::shared_ptr<PredictionService> service);
 
   const MachineTrace& history() const { return history_; }
-
-  /// The shared prediction service, or nullptr in stand-alone mode.
-  const std::shared_ptr<PredictionService>& service() const { return service_; }
 
   /// TR for a window starting on `target_day` (paper Eq. 2/3).
   Prediction predict(std::int64_t target_day, const TimeWindow& window) const;
@@ -58,7 +51,6 @@ class StateManager {
 
  private:
   const MachineTrace& history_;
-  AvailabilityPredictor predictor_;
   std::shared_ptr<PredictionService> service_;
 };
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,6 +16,7 @@
 
 #include "chaos_support.hpp"
 #include "core/prediction_service.hpp"
+#include "core/predictor.hpp"
 #include "util/error.hpp"
 
 namespace fgcs {
@@ -27,10 +31,15 @@ class ReplicationChaosTest : public ChaosTest {};
 /// a one-hour attempt survives with probability ≈ 0.982^60 ≈ 1/3.
 constexpr const char* kChurnSpec = "gateway.execute.revoke=prob:0.018:1";
 
+/// Steady fleet probed through a shared PredictionService pinned to one
+/// worker, so the batched fleet probe evaluates failpoints in machine-id
+/// order and fault attribution is deterministic.
 struct Fleet {
   std::vector<MachineTrace> traces;
   std::vector<Gateway> gateways;
   Registry registry;
+  std::shared_ptr<PredictionService> service =
+      std::make_shared<PredictionService>(ServiceConfig{.max_threads = 1});
 
   explicit Fleet(int machines) {
     for (int m = 0; m < machines; ++m) {
@@ -40,7 +49,7 @@ struct Fleet {
     }
     gateways.reserve(traces.size());
     for (const MachineTrace& trace : traces)
-      gateways.emplace_back(trace, test::test_thresholds());
+      gateways.emplace_back(trace, test::test_thresholds(), service);
     for (Gateway& gateway : gateways) registry.publish(gateway);
   }
 };
@@ -56,13 +65,13 @@ TEST_F(ReplicationChaosTest, ReplicationBeatsSinglePlacementUnderChurn) {
   Failpoints::instance().arm_from_spec(kChurnSpec);
   SchedulerConfig single_config;
   single_config.max_attempts = 1;
-  const JobScheduler single(fleet.registry, single_config);
+  const JobScheduler single(fleet.registry, fleet.service, single_config);
   const JobOutcome single_outcome = single.run_job(job, submit, give_up);
 
   // Same churn stream, replicated 3 ways.
   Failpoints::instance().reset();
   Failpoints::instance().arm_from_spec(kChurnSpec);
-  const ReplicatingScheduler replicated(fleet.registry, 3);
+  const ReplicatingScheduler replicated(fleet.registry, fleet.service, 3);
   const ReplicatedOutcome replicated_outcome =
       replicated.run_job(job, submit, give_up);
 
@@ -87,7 +96,7 @@ TEST_F(ReplicationChaosTest, ChurnScenarioIsBitReproducible) {
   auto run = [&] {
     Failpoints::instance().reset();
     Failpoints::instance().arm_from_spec(kChurnSpec);
-    const ReplicatingScheduler scheduler(fleet.registry, 3);
+    const ReplicatingScheduler scheduler(fleet.registry, fleet.service, 3);
     return std::make_pair(
         scheduler.run_job(job, submit, submit + 6 * kSecondsPerHour),
         Failpoints::instance().stats());
@@ -105,7 +114,7 @@ TEST_F(ReplicationChaosTest, ChurnScenarioIsBitReproducible) {
 TEST_F(ReplicationChaosTest, SurvivesInjectedReplicaLoss) {
   Failpoints::instance().arm_from_spec("replication.replica.lost=once");
   Fleet fleet(2);
-  const ReplicatingScheduler scheduler(fleet.registry, 2);
+  const ReplicatingScheduler scheduler(fleet.registry, fleet.service, 2);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 1800, .mem_mb = 64};
   const SimTime submit = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
   const ReplicatedOutcome outcome =
@@ -123,9 +132,9 @@ TEST_F(ReplicationChaosTest, SurvivesInjectedReplicaLoss) {
 TEST_F(ReplicationChaosTest, RankingSkipsUnpredictableMachines) {
   // The first probe (lowest machine id) fails; placement must continue with
   // the remaining machines instead of propagating the estimation error.
-  Failpoints::instance().arm_from_spec("state_manager.predict.fail=once");
+  Failpoints::instance().arm_from_spec("service.estimate.fail=once");
   Fleet fleet(2);
-  const ReplicatingScheduler scheduler(fleet.registry, 2);
+  const ReplicatingScheduler scheduler(fleet.registry, fleet.service, 2);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 900, .mem_mb = 64};
   const SimTime submit = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
   const ReplicatedOutcome outcome =
@@ -140,7 +149,7 @@ TEST_F(ReplicationChaosTest, RankingSkipsUnpredictableMachines) {
 TEST_F(ReplicationChaosTest, AllReplicasLostReportsFailure) {
   Failpoints::instance().arm_from_spec("replication.replica.lost=always");
   Fleet fleet(2);
-  const ReplicatingScheduler scheduler(fleet.registry, 2);
+  const ReplicatingScheduler scheduler(fleet.registry, fleet.service, 2);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 900, .mem_mb = 64};
   const SimTime submit = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
   const SimTime give_up = submit + 2 * kSecondsPerHour;
@@ -152,32 +161,6 @@ TEST_F(ReplicationChaosTest, AllReplicasLostReportsFailure) {
   EXPECT_EQ(outcome.total_cpu_spent, 0.0);
 }
 
-/// Fleet probed through a shared PredictionService pinned to one worker, so
-/// the batched fleet probe evaluates failpoints in machine-id order and the
-/// storm attribution below is deterministic.
-struct PlannedFleet {
-  std::vector<MachineTrace> traces;
-  std::vector<Gateway> gateways;
-  Registry registry;
-  std::shared_ptr<PredictionService> service;
-
-  explicit PlannedFleet(int machines) {
-    ServiceConfig config;
-    config.max_threads = 1;
-    service = std::make_shared<PredictionService>(config);
-    for (int m = 0; m < machines; ++m) {
-      std::string id = "m";
-      id += std::to_string(m);
-      traces.push_back(steady_trace(id, 8));
-    }
-    gateways.reserve(traces.size());
-    for (const MachineTrace& trace : traces)
-      gateways.emplace_back(trace, test::test_thresholds(), EstimatorConfig{},
-                            service);
-    for (Gateway& gateway : gateways) registry.publish(gateway);
-  }
-};
-
 /// The planner's churn storm: ~30 % of planned replicas vanish at launch and
 /// every 3rd fleet probe fails to estimate (same shape as the fgcs_chaos
 /// planner scenario, compressed for test speed).
@@ -185,7 +168,7 @@ constexpr const char* kPlannerStormSpec =
     "replication.replica.lost=prob:0.3:1;service.estimate.fail=every:3";
 
 TEST_F(ReplicationChaosTest, PlannerMeetsTargetOrDegradesUnderStorm) {
-  PlannedFleet fleet(4);
+  Fleet fleet(4);
   PlannerConfig planner;
   planner.target_availability = 0.95;
   planner.max_replicas = 3;
@@ -193,8 +176,8 @@ TEST_F(ReplicationChaosTest, PlannerMeetsTargetOrDegradesUnderStorm) {
 
   Failpoints::instance().reset();
   Failpoints::instance().arm_from_spec(kPlannerStormSpec);
-  const ReplicatingScheduler scheduler(fleet.registry, planner,
-                                       SchedulerConfig{}, fleet.service);
+  const ReplicatingScheduler scheduler(fleet.registry, fleet.service,
+                                       planner);
   const SimTime submit = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
   for (int j = 0; j < 4; ++j) {
     const GuestJobSpec job{.job_id = "j" + std::to_string(j),
@@ -230,11 +213,11 @@ TEST_F(ReplicationChaosTest, PlannerStormIsBitReproducible) {
   planner.fallback_replicas = 2;
 
   auto run = [&] {
-    PlannedFleet fleet(4);  // fresh service: identical cold-cache sequence
+    Fleet fleet(4);  // fresh service: identical cold-cache sequence
     Failpoints::instance().reset();
     Failpoints::instance().arm_from_spec(kPlannerStormSpec);
-    const ReplicatingScheduler scheduler(fleet.registry, planner,
-                                         SchedulerConfig{}, fleet.service);
+    const ReplicatingScheduler scheduler(fleet.registry, fleet.service,
+                                         planner);
     std::vector<ReplicatedOutcome> outcomes;
     for (int j = 0; j < 3; ++j)
       outcomes.push_back(
@@ -269,11 +252,11 @@ TEST_F(ReplicationChaosTest, AllProbeFailuresYieldReportedEmptyFallback) {
   // mode must be explicit — an infeasible fallback plan with no replicas and
   // a failed outcome — never a silent empty launch.
   Failpoints::instance().arm_from_spec("service.estimate.fail=always");
-  PlannedFleet fleet(3);
+  Fleet fleet(3);
   PlannerConfig planner;
   planner.target_availability = 0.9;
-  const ReplicatingScheduler scheduler(fleet.registry, planner,
-                                       SchedulerConfig{}, fleet.service);
+  const ReplicatingScheduler scheduler(fleet.registry, fleet.service,
+                                       planner);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 900, .mem_mb = 64};
   const SimTime submit = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
   const SimTime give_up = submit + 2 * kSecondsPerHour;
@@ -289,31 +272,62 @@ TEST_F(ReplicationChaosTest, AllProbeFailuresYieldReportedEmptyFallback) {
   EXPECT_EQ(outcome.plan->achieved_availability, 0.0);
 }
 
-TEST_F(ReplicationChaosTest, BatchedAndSerialProbesAgreeWhenHealthy) {
+TEST_F(ReplicationChaosTest, BatchedPlanMatchesPredictorWhenHealthy) {
   // Nothing armed: the batched fleet probe through the shared service must
-  // plan exactly like the serial per-gateway path it replaced.
-  PlannedFleet fleet(4);
+  // plan exactly like plan_replicas over the paper's per-call predictor.
+  Fleet fleet(4);
   PlannerConfig planner;
   planner.target_availability = 0.95;
   planner.max_replicas = 3;
   planner.fallback_replicas = 2;
-  const ReplicatingScheduler batched(fleet.registry, planner,
-                                     SchedulerConfig{}, fleet.service);
-  const ReplicatingScheduler serial(fleet.registry, planner, SchedulerConfig{},
-                                    nullptr);
+  const ReplicatingScheduler scheduler(fleet.registry, fleet.service, planner);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 1800, .mem_mb = 64};
   const SimTime submit = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
-  const ReplicatedOutcome a =
-      batched.run_job(job, submit, submit + 6 * kSecondsPerHour);
-  const ReplicatedOutcome b =
-      serial.run_job(job, submit, submit + 6 * kSecondsPerHour);
-  ASSERT_TRUE(a.plan.has_value() && b.plan.has_value());
-  EXPECT_EQ(a.plan->feasible, b.plan->feasible);
-  EXPECT_EQ(a.plan->achieved_availability, b.plan->achieved_availability);
-  EXPECT_EQ(a.plan->total_cost, b.plan->total_cost);
-  ASSERT_EQ(a.plan->replicas.size(), b.plan->replicas.size());
-  for (std::size_t r = 0; r < a.plan->replicas.size(); ++r)
-    EXPECT_EQ(a.plan->replicas[r].machine_id, b.plan->replicas[r].machine_id);
+  const auto expected_wall = static_cast<SimTime>(
+      job.cpu_seconds * SchedulerConfig{}.wall_time_factor);
+
+  // Oracle: per-gateway AvailabilityPredictor TRs in the scheduler's
+  // ranking order (TR descending, machine id ascending), planned directly.
+  const AvailabilityPredictor predictor(EstimatorConfig{});
+  std::vector<ReplicaCandidate> candidates;
+  for (const Gateway& gateway : fleet.gateways) {
+    const MachineTrace& history = gateway.state_manager().history();
+    candidates.push_back(ReplicaCandidate{
+        gateway.machine_id(),
+        predictor
+            .predict(history,
+                     StateManager::job_request(history, submit, expected_wall))
+            .temporal_reliability,
+        1.0});
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const ReplicaCandidate& a, const ReplicaCandidate& b) {
+              if (a.tr != b.tr) return a.tr > b.tr;
+              return a.machine_id < b.machine_id;
+            });
+  const ReplicationPlan expected = plan_replicas(candidates, planner);
+
+  // Run twice: the second fleet probe is answered entirely from the cache.
+  for (int run = 0; run < 2; ++run) {
+    const ReplicatedOutcome outcome =
+        scheduler.run_job(job, submit, submit + 6 * kSecondsPerHour);
+    ASSERT_TRUE(outcome.plan.has_value());
+    const ReplicationPlan& plan = *outcome.plan;
+    EXPECT_EQ(plan.feasible, expected.feasible);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.achieved_availability),
+              std::bit_cast<std::uint64_t>(expected.achieved_availability));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.total_cost),
+              std::bit_cast<std::uint64_t>(expected.total_cost));
+    ASSERT_EQ(plan.replicas.size(), expected.replicas.size());
+    for (std::size_t r = 0; r < plan.replicas.size(); ++r) {
+      EXPECT_EQ(plan.replicas[r].machine_id, expected.replicas[r].machine_id);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.replicas[r].tr),
+                std::bit_cast<std::uint64_t>(expected.replicas[r].tr));
+    }
+  }
+  const ServiceStats stats = fleet.service->stats();
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.hits, 4u);
 }
 
 }  // namespace

@@ -32,7 +32,8 @@ ScenarioResult run_revocation_scenario() {
   Failpoints::instance().arm_from_spec(kRevocationSpec);
 
   const MachineTrace trace = steady_trace("m0", 8);
-  Gateway gateway(trace, test::test_thresholds());
+  const auto service = std::make_shared<PredictionService>();
+  Gateway gateway(trace, test::test_thresholds(), service);
   Registry registry;
   registry.publish(gateway);
 
@@ -40,7 +41,7 @@ ScenarioResult run_revocation_scenario() {
   config.retry_delay = 120;
   config.backoff_factor = 2.0;
   config.max_retry_delay = 1800;
-  const JobScheduler scheduler(registry, config);
+  const JobScheduler scheduler(registry, service, config);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 2 * 3600, .mem_mb = 64};
   const SimTime submit = 7 * kSecondsPerDay + kSecondsPerHour;
@@ -80,15 +81,16 @@ TEST_F(SchedulerChaosTest, RevocationScenarioIsBitReproducible) {
 }
 
 TEST_F(SchedulerChaosTest, CompletesUnderInjectedContention) {
+  const auto service = std::make_shared<PredictionService>();
   Failpoints::instance().arm_from_spec(
       "gateway.execute.contention=prob:0.004:6");
   const MachineTrace trace = steady_trace("m0", 8);
-  Gateway gateway(trace, test::test_thresholds());
+  Gateway gateway(trace, test::test_thresholds(), service);
   Registry registry;
   registry.publish(gateway);
   SchedulerConfig config;
   config.backoff_factor = 2.0;
-  const JobScheduler scheduler(registry, config);
+  const JobScheduler scheduler(registry, service, config);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 3600, .mem_mb = 64};
   const SimTime submit = 7 * kSecondsPerDay + kSecondsPerHour;
@@ -100,17 +102,18 @@ TEST_F(SchedulerChaosTest, CompletesUnderInjectedContention) {
 }
 
 TEST_F(SchedulerChaosTest, CompletesUnderRegistryChurn) {
+  const auto service = std::make_shared<PredictionService>();
   // Half of all enumeration entries vanish, so many selection rounds see a
   // partial (sometimes empty) fleet; the scheduler must keep retrying.
   Failpoints::instance().arm_from_spec("registry.enumerate.drop=prob:0.5:55");
   const MachineTrace a = steady_trace("a", 8);
   const MachineTrace b = steady_trace("b", 8);
-  Gateway ga(a, test::test_thresholds());
-  Gateway gb(b, test::test_thresholds());
+  Gateway ga(a, test::test_thresholds(), service);
+  Gateway gb(b, test::test_thresholds(), service);
   Registry registry;
   registry.publish(ga);
   registry.publish(gb);
-  const JobScheduler scheduler(registry);
+  const JobScheduler scheduler(registry, service);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 3600, .mem_mb = 64};
   const SimTime submit = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
@@ -123,9 +126,10 @@ TEST_F(SchedulerChaosTest, CompletesUnderRegistryChurn) {
 }
 
 TEST_F(SchedulerChaosTest, StaleLookupReturnsNullWithoutCrashing) {
+  const auto service = std::make_shared<PredictionService>();
   Failpoints::instance().arm_from_spec("registry.lookup.stale=once");
   const MachineTrace trace = steady_trace("m0", 8);
-  Gateway gateway(trace, test::test_thresholds());
+  Gateway gateway(trace, test::test_thresholds(), service);
   Registry registry;
   registry.publish(gateway);
   EXPECT_EQ(registry.lookup("m0"), nullptr);  // injected staleness
@@ -133,17 +137,20 @@ TEST_F(SchedulerChaosTest, StaleLookupReturnsNullWithoutCrashing) {
 }
 
 TEST_F(SchedulerChaosTest, SelectSkipsMachineWhosePredictionFails) {
-  // Gateways are probed in machine-id order; `once` kills the first probe, so
-  // selection must degrade to the second machine instead of throwing.
-  Failpoints::instance().arm_from_spec("state_manager.predict.fail=once");
+  // A one-worker service probes in machine-id order; `once` kills the first
+  // probe, so selection must degrade to the second machine instead of
+  // throwing.
+  Failpoints::instance().arm_from_spec("service.estimate.fail=once");
+  const auto service =
+      std::make_shared<PredictionService>(ServiceConfig{.max_threads = 1});
   const MachineTrace a = steady_trace("a", 8);
   const MachineTrace b = steady_trace("b", 8);
-  Gateway ga(a, test::test_thresholds());
-  Gateway gb(b, test::test_thresholds());
+  Gateway ga(a, test::test_thresholds(), service);
+  Gateway gb(b, test::test_thresholds(), service);
   Registry registry;
   registry.publish(ga);
   registry.publish(gb);
-  const JobScheduler scheduler(registry);
+  const JobScheduler scheduler(registry, service);
 
   const SimTime now = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
   Gateway* choice = scheduler.select_machine(now, kSecondsPerHour);
@@ -152,37 +159,46 @@ TEST_F(SchedulerChaosTest, SelectSkipsMachineWhosePredictionFails) {
   EXPECT_EQ(scheduler.select_machine(now, kSecondsPerHour), &ga);
 }
 
-TEST_F(SchedulerChaosTest, BatchedSelectFallsBackToSerialOnServiceFailure) {
+TEST_F(SchedulerChaosTest, BatchedSelectSkipsFailedMachineWithoutReprobe) {
+  // The probe fans out over the pool, so which machine `once` hits depends
+  // on worker order. Either way the batch is not retried: one batch of two
+  // lookups, and the choice is the machine that was predicted.
   Failpoints::instance().arm_from_spec("service.estimate.fail=once");
   const MachineTrace a = steady_trace("a", 8);
   const MachineTrace b = steady_trace("b", 8);
   const auto service = std::make_shared<PredictionService>();
-  Gateway ga(a, test::test_thresholds(), EstimatorConfig{}, service);
-  Gateway gb(b, test::test_thresholds(), EstimatorConfig{}, service);
+  Gateway ga(a, test::test_thresholds(), service);
+  Gateway gb(b, test::test_thresholds(), service);
   Registry registry;
   registry.publish(ga);
   registry.publish(gb);
-  const JobScheduler scheduler(registry, SchedulerConfig{}, service);
+  const JobScheduler scheduler(registry, service);
 
   const SimTime now = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
   Gateway* choice = scheduler.select_machine(now, kSecondsPerHour);
   ASSERT_NE(choice, nullptr);
-  // The injected batch failure was absorbed; the fallback still picked the
-  // deterministic best (ties resolve to the lowest machine id).
-  EXPECT_EQ(choice, &ga);
-  EXPECT_GT(Failpoints::instance().stats().find("service.estimate.fail")->fires,
-            0u);
+  EXPECT_EQ(Failpoints::instance().stats().find("service.estimate.fail")->fires,
+            1u);
+  const ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.lookups, 2u);
+  EXPECT_EQ(stats.misses, 1u);  // only the surviving machine was estimated
+  // The next probe sees the whole fleet again and picks the deterministic
+  // best (ties resolve to the lowest machine id).
+  EXPECT_EQ(scheduler.select_machine(now, kSecondsPerHour), &ga);
 }
 
 TEST_F(SchedulerChaosTest, TotalEstimationOutageGivesUpAtDeadline) {
-  Failpoints::instance().arm_from_spec("state_manager.predict.fail=always");
+  Failpoints::instance().arm_from_spec("service.estimate.fail=always");
+  const auto service =
+      std::make_shared<PredictionService>(ServiceConfig{.max_threads = 1});
   const MachineTrace trace = steady_trace("m0", 8);
-  Gateway gateway(trace, test::test_thresholds());
+  Gateway gateway(trace, test::test_thresholds(), service);
   Registry registry;
   registry.publish(gateway);
   SchedulerConfig config;
   config.backoff_factor = 2.0;  // bound the number of idle retry rounds
-  const JobScheduler scheduler(registry, config);
+  const JobScheduler scheduler(registry, service, config);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 600, .mem_mb = 64};
   const SimTime submit = 7 * kSecondsPerDay;

@@ -1,7 +1,8 @@
 # Replay determinism gate for the chaos driver with the thread pool active:
-# runs `fgcs_chaos --scenario service` twice with FGCS_THREADS=4 (forcing the
-# batch fan-out onto four pool workers even on a single-CPU host) and fails
-# unless both runs exit 0 with byte-identical output. Guards the tool's
+# runs `fgcs_chaos --scenario service` (then registry, churn and the other
+# legs below) twice with FGCS_THREADS=4 (forcing the batch fan-out onto four
+# pool workers even on a single-CPU host) and fails unless both runs exit 0
+# with byte-identical output. Guards the tool's
 # same-flags → same-bytes contract against thread-order-dependent counters
 # leaking into the report.
 #
@@ -30,6 +31,40 @@ if(NOT first_out STREQUAL second_out)
     "--- first run ---\n${first_out}\n--- second run ---\n${second_out}")
 endif()
 message(STATUS "chaos service scenario replayed byte-identically (pool x4)")
+
+# Registry and churn legs: both scenarios probe the fleet with one
+# try_predict_batch per placement, fanned out over the four pool workers.
+# Their failpoints (registry enumeration drops and stale lookups; guest
+# revocation) fire on the driver thread, and the probe answers are placed by
+# index, so the jobs, outcomes and failpoint table must replay
+# byte-identically.
+foreach(scenario registry churn)
+  foreach(run first second)
+    execute_process(
+      COMMAND ${CHAOS_BIN} --scenario ${scenario} --seed 11 --machines 4
+              --days 9 --jobs 6
+      OUTPUT_VARIABLE ${scenario}_${run}_out
+      ERROR_VARIABLE ${scenario}_${run}_err
+      RESULT_VARIABLE ${scenario}_${run}_rc)
+    if(NOT ${scenario}_${run}_rc EQUAL 0)
+      message(FATAL_ERROR
+        "fgcs_chaos ${scenario} ${run} run failed "
+        "(rc=${${scenario}_${run}_rc}):\n${${scenario}_${run}_err}")
+    endif()
+  endforeach()
+  if(NOT ${scenario}_first_out STREQUAL ${scenario}_second_out)
+    message(FATAL_ERROR
+      "fgcs_chaos ${scenario} scenario is not replay-stable with "
+      "FGCS_THREADS=4\n--- first run ---\n${${scenario}_first_out}\n"
+      "--- second run ---\n${${scenario}_second_out}")
+  endif()
+  if(NOT ${scenario}_first_out MATCHES "completed [1-9][0-9]*/6")
+    message(FATAL_ERROR
+      "fgcs_chaos ${scenario} completed no job:\n${${scenario}_first_out}")
+  endif()
+  message(STATUS
+    "chaos ${scenario} scenario replayed byte-identically (pool x4)")
+endforeach()
 
 # Network leg: the net scenario drives real loopback sockets through a
 # failpoint storm (frame corruption, short reads, stalled writes, dropped

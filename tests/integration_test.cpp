@@ -73,6 +73,7 @@ TEST(IntegrationTest, MonitorReconstructionFeedsPredictorIdentically) {
 }
 
 TEST(IntegrationTest, SchedulerPrefersMachineThatCompletesFaster) {
+  const auto service = std::make_shared<PredictionService>();
   // A quiet machine and a busy one: the TR-driven scheduler should finish a
   // morning job sooner than it would on the busy machine.
   WorkloadParams quiet = fast_params();
@@ -88,13 +89,13 @@ TEST(IntegrationTest, SchedulerPrefersMachineThatCompletesFaster) {
   const MachineTrace quiet_trace = quiet_generator.generate("quiet", 10);
   const MachineTrace busy_trace = busy_generator.generate("busy", 10);
 
-  Gateway quiet_gateway(quiet_trace, test::test_thresholds());
-  Gateway busy_gateway(busy_trace, test::test_thresholds());
+  Gateway quiet_gateway(quiet_trace, test::test_thresholds(), service);
+  Gateway busy_gateway(busy_trace, test::test_thresholds(), service);
   Registry registry;
   registry.publish(quiet_gateway);
   registry.publish(busy_gateway);
 
-  const JobScheduler scheduler(registry);
+  const JobScheduler scheduler(registry, service);
   const SimTime submit = 8 * kSecondsPerDay + 9 * kSecondsPerHour;
   Gateway* selected = scheduler.select_machine(submit, 2 * kSecondsPerHour);
   ASSERT_NE(selected, nullptr);

@@ -12,8 +12,9 @@ using test::constant_day;
 using test::sample;
 
 TEST(RegistryTest, PublishLookupUnpublish) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace trace = test::constant_trace(3, 10, 60);
-  Gateway gateway(trace, test::test_thresholds());
+  Gateway gateway(trace, test::test_thresholds(), service);
   Registry registry;
   EXPECT_EQ(registry.size(), 0u);
   registry.publish(gateway);
@@ -26,11 +27,12 @@ TEST(RegistryTest, PublishLookupUnpublish) {
 }
 
 TEST(RegistryTest, GatewaysOrderedById) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace a = test::constant_trace(2, 10, 60);
   MachineTrace b("alpha", Calendar(0), 60, 512);
   b.append_day(constant_day(60, 10));
-  Gateway ga(a, test::test_thresholds());
-  Gateway gb(b, test::test_thresholds());
+  Gateway ga(a, test::test_thresholds(), service);
+  Gateway gb(b, test::test_thresholds(), service);
   Registry registry;
   registry.publish(ga);
   registry.publish(gb);
@@ -41,8 +43,9 @@ TEST(RegistryTest, GatewaysOrderedById) {
 }
 
 TEST(GatewayTest, ExecuteCompletesOnIdleMachine) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace trace = test::constant_trace(3, 5, 60);
-  const Gateway gateway(trace, test::test_thresholds());
+  const Gateway gateway(trace, test::test_thresholds(), service);
   // 1 CPU-hour on a 95%-idle machine: done in about 3790 wall seconds.
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 3600, .mem_mb = 100};
   const SimTime start = 2 * kSecondsPerDay + 9 * kSecondsPerHour;
@@ -54,13 +57,14 @@ TEST(GatewayTest, ExecuteCompletesOnIdleMachine) {
 }
 
 TEST(GatewayTest, ExecuteFailsOnSteadyOverload) {
+  const auto service = std::make_shared<PredictionService>();
   MachineTrace trace("m", Calendar(0), 60, 512);
   trace.append_day(constant_day(60, 10));
   auto day1 = constant_day(60, 10);
   for (std::size_t i = 10 * 60; i < 12 * 60; ++i) day1[i] = sample(95);
   trace.append_day(std::move(day1));
 
-  const Gateway gateway(trace, test::test_thresholds());
+  const Gateway gateway(trace, test::test_thresholds(), service);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 4 * 3600, .mem_mb = 100};
   const SimTime start = kSecondsPerDay + 9 * kSecondsPerHour;
   const ExecutionResult r = gateway.execute(job, start, start + kSecondsPerDay);
@@ -75,13 +79,14 @@ TEST(GatewayTest, ExecuteFailsOnSteadyOverload) {
 }
 
 TEST(GatewayTest, FixedCheckpointingPreservesProgress) {
+  const auto service = std::make_shared<PredictionService>();
   MachineTrace trace("m", Calendar(0), 60, 512);
   trace.append_day(constant_day(60, 5));
   auto day1 = constant_day(60, 5);
   for (std::size_t i = 11 * 60; i < 13 * 60; ++i) day1[i] = sample(95);
   trace.append_day(std::move(day1));
 
-  const Gateway gateway(trace, test::test_thresholds());
+  const Gateway gateway(trace, test::test_thresholds(), service);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 6 * 3600, .mem_mb = 100};
   CheckpointConfig checkpoint;
   checkpoint.fixed_interval = 1800;
@@ -98,11 +103,12 @@ TEST(GatewayTest, FixedCheckpointingPreservesProgress) {
 }
 
 TEST(GatewayTest, AdaptiveCheckpointIntervalFollowsPredictedTr) {
+  const auto service = std::make_shared<PredictionService>();
   // On an always-idle machine TR is 1, so an adaptive policy with a low
   // tr_low threshold uses the long interval, while tr_low > 1 forces the
   // short interval everywhere; checkpoint counts must reflect that.
   const MachineTrace trace = test::constant_trace(8, 5, 60);
-  const Gateway gateway(trace, test::test_thresholds());
+  const Gateway gateway(trace, test::test_thresholds(), service);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 8 * 3600, .mem_mb = 64};
   const SimTime start = 7 * kSecondsPerDay + 8 * kSecondsPerHour;
 
@@ -125,8 +131,9 @@ TEST(GatewayTest, AdaptiveCheckpointIntervalFollowsPredictedTr) {
 }
 
 TEST(GatewayTest, CheckpointCostDelaysCompletion) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace trace = test::constant_trace(6, 5, 60);
-  const Gateway gateway(trace, test::test_thresholds());
+  const Gateway gateway(trace, test::test_thresholds(), service);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 4 * 3600, .mem_mb = 64};
   const SimTime start = 5 * kSecondsPerDay + 8 * kSecondsPerHour;
 
@@ -143,6 +150,7 @@ TEST(GatewayTest, CheckpointCostDelaysCompletion) {
 }
 
 TEST(GatewayTest, QueryReliabilityUsesHistory) {
+  const auto service = std::make_shared<PredictionService>();
   MachineTrace trace("m", Calendar(0), 60, 512);
   for (int d = 0; d < 6; ++d) {
     auto day = constant_day(60, 10);
@@ -150,7 +158,7 @@ TEST(GatewayTest, QueryReliabilityUsesHistory) {
       for (std::size_t i = 9 * 60; i < 11 * 60; ++i) day[i] = sample(95);
     trace.append_day(std::move(day));
   }
-  const Gateway gateway(trace, test::test_thresholds());
+  const Gateway gateway(trace, test::test_thresholds(), service);
   // Day 4 is a weekday (Monday epoch): training uses weekdays 0–3, of which
   // two carry the 9:00–11:00 overload.
   const SimTime now = 4 * kSecondsPerDay + 8 * kSecondsPerHour + 1800;
@@ -160,8 +168,9 @@ TEST(GatewayTest, QueryReliabilityUsesHistory) {
 }
 
 TEST(GatewayTest, ExecuteValidatesArguments) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace trace = test::constant_trace(2, 10, 60);
-  const Gateway gateway(trace, test::test_thresholds());
+  const Gateway gateway(trace, test::test_thresholds(), service);
   GuestJobSpec job{.job_id = "j", .cpu_seconds = 10, .mem_mb = 100};
   EXPECT_THROW(gateway.execute(job, 100, 100), PreconditionError);
   job.cpu_seconds = 0;

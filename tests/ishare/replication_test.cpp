@@ -18,11 +18,12 @@ MachineTrace idle_trace(const std::string& id, int days, int load_pct = 5) {
 }
 
 TEST(ReplicationTest, SingleReplicaCompletesLikePlainExecution) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace trace = idle_trace("only", 6);
-  Gateway gateway(trace, test::test_thresholds());
+  Gateway gateway(trace, test::test_thresholds(), service);
   Registry registry;
   registry.publish(gateway);
-  const ReplicatingScheduler scheduler(registry, 1);
+  const ReplicatingScheduler scheduler(registry, service, 1);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 1800, .mem_mb = 64};
   const SimTime submit = 5 * kSecondsPerDay + 9 * kSecondsPerHour;
@@ -34,15 +35,16 @@ TEST(ReplicationTest, SingleReplicaCompletesLikePlainExecution) {
 }
 
 TEST(ReplicationTest, FirstCompletionWins) {
+  const auto service = std::make_shared<PredictionService>();
   // A fast (idle) machine and a slow (busy but available) one.
   const MachineTrace fast = idle_trace("fast", 6, 5);
   const MachineTrace slow = idle_trace("slow", 6, 55);  // S2: less idle
-  Gateway g_fast(fast, test::test_thresholds());
-  Gateway g_slow(slow, test::test_thresholds());
+  Gateway g_fast(fast, test::test_thresholds(), service);
+  Gateway g_slow(slow, test::test_thresholds(), service);
   Registry registry;
   registry.publish(g_fast);
   registry.publish(g_slow);
-  const ReplicatingScheduler scheduler(registry, 2);
+  const ReplicatingScheduler scheduler(registry, service, 2);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 3600, .mem_mb = 64};
   const SimTime submit = 5 * kSecondsPerDay + 9 * kSecondsPerHour;
@@ -56,6 +58,7 @@ TEST(ReplicationTest, FirstCompletionWins) {
 }
 
 TEST(ReplicationTest, SurvivesSingleMachineFailure) {
+  const auto service = std::make_shared<PredictionService>();
   // One machine dies mid-morning every day; the other is clean.
   MachineTrace flaky("flaky", Calendar(0), 60, 512);
   for (int d = 0; d < 6; ++d) {
@@ -64,12 +67,12 @@ TEST(ReplicationTest, SurvivesSingleMachineFailure) {
     flaky.append_day(std::move(day));
   }
   const MachineTrace clean = idle_trace("clean", 6);
-  Gateway g_flaky(flaky, test::test_thresholds());
-  Gateway g_clean(clean, test::test_thresholds());
+  Gateway g_flaky(flaky, test::test_thresholds(), service);
+  Gateway g_clean(clean, test::test_thresholds(), service);
   Registry registry;
   registry.publish(g_flaky);
   registry.publish(g_clean);
-  const ReplicatingScheduler scheduler(registry, 2);
+  const ReplicatingScheduler scheduler(registry, service, 2);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 4 * 3600, .mem_mb = 64};
   const SimTime submit = 5 * kSecondsPerDay + 9 * kSecondsPerHour;
@@ -81,11 +84,12 @@ TEST(ReplicationTest, SurvivesSingleMachineFailure) {
 }
 
 TEST(ReplicationTest, MoreReplicasThanMachinesIsClamped) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace trace = idle_trace("m", 4);
-  Gateway gateway(trace, test::test_thresholds());
+  Gateway gateway(trace, test::test_thresholds(), service);
   Registry registry;
   registry.publish(gateway);
-  const ReplicatingScheduler scheduler(registry, 5);
+  const ReplicatingScheduler scheduler(registry, service, 5);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 600, .mem_mb = 64};
   const SimTime submit = 3 * kSecondsPerDay;
   const ReplicatedOutcome outcome =
@@ -94,9 +98,13 @@ TEST(ReplicationTest, MoreReplicasThanMachinesIsClamped) {
 }
 
 TEST(ReplicationTest, ValidatesArguments) {
+  const auto service = std::make_shared<PredictionService>();
   Registry registry;
-  EXPECT_THROW(ReplicatingScheduler(registry, 0), PreconditionError);
-  const ReplicatingScheduler scheduler(registry, 1);
+  EXPECT_THROW(ReplicatingScheduler(registry, service, 0), PreconditionError);
+  EXPECT_THROW(ReplicatingScheduler(registry, nullptr, 1), PreconditionError);
+  EXPECT_THROW(ReplicatingScheduler(registry, nullptr, PlannerConfig{}),
+               PreconditionError);
+  const ReplicatingScheduler scheduler(registry, service, 1);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 600, .mem_mb = 64};
   EXPECT_THROW(scheduler.run_job(job, 100, 100), PreconditionError);
   // Empty registry: no replicas, not completed.

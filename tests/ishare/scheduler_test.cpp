@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
+#include "core/predictor.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -31,53 +35,76 @@ MachineTrace reliable_trace(const std::string& id, int days) {
 }
 
 TEST(JobSchedulerTest, SelectsTheMoreReliableMachine) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace good = reliable_trace("good", 8);
   const MachineTrace bad = unreliable_trace("bad", 8);
-  Gateway g_good(good, test::test_thresholds());
-  Gateway g_bad(bad, test::test_thresholds());
+  Gateway g_good(good, test::test_thresholds(), service);
+  Gateway g_bad(bad, test::test_thresholds(), service);
   Registry registry;
   registry.publish(g_bad);
   registry.publish(g_good);
 
-  const JobScheduler scheduler(registry);
+  const JobScheduler scheduler(registry, service);
   const SimTime now = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
   Gateway* choice = scheduler.select_machine(now, 4 * kSecondsPerHour);
   ASSERT_NE(choice, nullptr);
   EXPECT_EQ(choice->machine_id(), "good");
 }
 
-TEST(JobSchedulerTest, BatchedSelectionMatchesSerial) {
+TEST(JobSchedulerTest, BatchedSelectionMatchesPredictor) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace good = reliable_trace("good", 8);
   const MachineTrace bad = unreliable_trace("bad", 8);
-  Gateway g_good(good, test::test_thresholds());
-  Gateway g_bad(bad, test::test_thresholds());
+  Gateway g_good(good, test::test_thresholds(), service);
+  Gateway g_bad(bad, test::test_thresholds(), service);
   Registry registry;
   registry.publish(g_bad);
   registry.publish(g_good);
+  const JobScheduler scheduler(registry, service);
 
-  const JobScheduler serial(registry);
-  const auto service = std::make_shared<PredictionService>();
-  const JobScheduler batched(registry, SchedulerConfig{}, service);
-
+  // Oracle: the paper's per-call predictor on each gateway's history, and
+  // the first strict maximum in registry (machine id) order.
+  const AvailabilityPredictor predictor(EstimatorConfig{});
   for (const SimTime hour : {8, 9, 11, 15}) {
     const SimTime now = 7 * kSecondsPerDay + hour * kSecondsPerHour;
     for (const SimTime duration : {kSecondsPerHour, 4 * kSecondsPerHour}) {
-      Gateway* expected = serial.select_machine(now, duration);
+      Gateway* expected = nullptr;
+      double expected_tr = -1.0;
+      for (Gateway* gateway : registry.gateways()) {
+        const MachineTrace& history = gateway->state_manager().history();
+        const double tr =
+            predictor
+                .predict(history,
+                         StateManager::job_request(history, now, duration))
+                .temporal_reliability;
+        if (tr > expected_tr) {
+          expected_tr = tr;
+          expected = gateway;
+        }
+      }
+      ASSERT_NE(expected, nullptr);
       // Probe twice: the repeat is answered entirely from the cache.
-      Gateway* actual = batched.select_machine(now, duration);
-      ASSERT_NE(actual, nullptr);
-      EXPECT_EQ(actual, expected);
-      EXPECT_EQ(batched.select_machine(now, duration), expected);
+      for (int probe = 0; probe < 2; ++probe) {
+        Gateway* actual = scheduler.select_machine(now, duration);
+        ASSERT_NE(actual, nullptr);
+        EXPECT_EQ(actual->machine_id(), expected->machine_id());
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      actual->query_reliability(now, duration)),
+                  std::bit_cast<std::uint64_t>(expected_tr));
+      }
     }
   }
+  // Each (machine, window) misses once on the first probe; the second probe
+  // and both query_reliability reads of the winner hit.
   const ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.hits, stats.misses);  // every probe re-issued once, warm
-  EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 16u);
+  EXPECT_EQ(stats.hits, 16u + 16u);
 }
 
 TEST(JobSchedulerTest, EmptyRegistryGivesNoMachine) {
+  const auto service = std::make_shared<PredictionService>();
   Registry registry;
-  const JobScheduler scheduler(registry);
+  const JobScheduler scheduler(registry, service);
   EXPECT_EQ(scheduler.select_machine(0, 3600), nullptr);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 100, .mem_mb = 50};
   const JobOutcome outcome = scheduler.run_job(job, 60, 86400);
@@ -86,11 +113,12 @@ TEST(JobSchedulerTest, EmptyRegistryGivesNoMachine) {
 }
 
 TEST(JobSchedulerTest, CompletesJobOnReliableMachine) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace good = reliable_trace("good", 8);
-  Gateway gateway(good, test::test_thresholds());
+  Gateway gateway(good, test::test_thresholds(), service);
   Registry registry;
   registry.publish(gateway);
-  const JobScheduler scheduler(registry);
+  const JobScheduler scheduler(registry, service);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 3600, .mem_mb = 100};
   const SimTime submit = 6 * kSecondsPerDay + 9 * kSecondsPerHour;
@@ -105,16 +133,17 @@ TEST(JobSchedulerTest, CompletesJobOnReliableMachine) {
 }
 
 TEST(JobSchedulerTest, RestartsAfterFailureAndEventuallyCompletes) {
+  const auto service = std::make_shared<PredictionService>();
   // Only an unreliable machine is available: a 3-CPU-hour job submitted at
   // 9:00 dies at 10:01 and must be restarted (from scratch) after the
   // overload clears; it completes in the afternoon.
   const MachineTrace bad = unreliable_trace("bad", 8);
-  Gateway gateway(bad, test::test_thresholds());
+  Gateway gateway(bad, test::test_thresholds(), service);
   Registry registry;
   registry.publish(gateway);
   SchedulerConfig config;
   config.retry_delay = 600;
-  const JobScheduler scheduler(registry, config);
+  const JobScheduler scheduler(registry, service, config);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 3 * 3600, .mem_mb = 100};
   const SimTime submit = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
@@ -126,13 +155,14 @@ TEST(JobSchedulerTest, RestartsAfterFailureAndEventuallyCompletes) {
 }
 
 TEST(JobSchedulerTest, CheckpointingReducesResponseTimeOnFlakyMachine) {
+  const auto service = std::make_shared<PredictionService>();
   const MachineTrace bad = unreliable_trace("bad", 8);
-  Gateway gateway(bad, test::test_thresholds());
+  Gateway gateway(bad, test::test_thresholds(), service);
   Registry registry;
   registry.publish(gateway);
   SchedulerConfig config;
   config.retry_delay = 300;  // keep the retry count well under max_attempts
-  const JobScheduler scheduler(registry, config);
+  const JobScheduler scheduler(registry, service, config);
 
   // 6-CPU-hour job straddling the daily overload.
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 6 * 3600, .mem_mb = 100};
@@ -153,14 +183,19 @@ TEST(JobSchedulerTest, CheckpointingReducesResponseTimeOnFlakyMachine) {
 }
 
 TEST(JobSchedulerTest, ValidatesConfigAndArguments) {
+  const auto service = std::make_shared<PredictionService>();
   Registry registry;
-  EXPECT_THROW(JobScheduler(registry, SchedulerConfig{.max_attempts = 0}),
-               PreconditionError);
-  EXPECT_THROW(JobScheduler(registry, SchedulerConfig{.backoff_factor = 0.5}),
-               PreconditionError);
-  EXPECT_THROW(JobScheduler(registry, SchedulerConfig{.backoff_jitter = 1.0}),
-               PreconditionError);
-  const JobScheduler scheduler(registry);
+  EXPECT_THROW(JobScheduler(registry, nullptr), PreconditionError);
+  EXPECT_THROW(
+      JobScheduler(registry, service, SchedulerConfig{.max_attempts = 0}),
+      PreconditionError);
+  EXPECT_THROW(
+      JobScheduler(registry, service, SchedulerConfig{.backoff_factor = 0.5}),
+      PreconditionError);
+  EXPECT_THROW(
+      JobScheduler(registry, service, SchedulerConfig{.backoff_jitter = 1.0}),
+      PreconditionError);
+  const JobScheduler scheduler(registry, service);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 10, .mem_mb = 10};
   EXPECT_THROW(scheduler.run_job(job, 100, 100), PreconditionError);
 }

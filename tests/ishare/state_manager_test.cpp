@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "ishare/gateway.hpp"
 #include "test_support.hpp"
+#include "util/error.hpp"
 
 namespace fgcs {
 namespace {
@@ -10,9 +14,16 @@ namespace {
 using test::constant_day;
 using test::sample;
 
+TEST(StateManagerTest, RequiresAService) {
+  const MachineTrace trace = test::constant_trace(2, 10, 60);
+  EXPECT_THROW(StateManager(trace, nullptr), PreconditionError);
+  EXPECT_THROW(Gateway(trace, test::test_thresholds(), nullptr),
+               PreconditionError);
+}
+
 TEST(StateManagerTest, PredictsFromHistory) {
   const MachineTrace trace = test::constant_trace(8, 10, 60);
-  const StateManager manager(trace);
+  const StateManager manager(trace, std::make_shared<PredictionService>());
   const Prediction p = manager.predict(
       7, TimeWindow{.start_of_day = 9 * kSecondsPerHour,
                     .length = 2 * kSecondsPerHour});
@@ -21,7 +32,7 @@ TEST(StateManagerTest, PredictsFromHistory) {
 
 TEST(StateManagerTest, PredictForJobRoundsToTicks) {
   const MachineTrace trace = test::constant_trace(8, 10, 60);
-  const StateManager manager(trace);
+  const StateManager manager(trace, std::make_shared<PredictionService>());
   // Submit at day 7, 09:00:30, duration 3599 s: window rounds to tick grid.
   const SimTime now = 7 * kSecondsPerDay + 9 * kSecondsPerHour + 30;
   const Prediction p = manager.predict_for_job(now, 3599);
@@ -31,7 +42,7 @@ TEST(StateManagerTest, PredictForJobRoundsToTicks) {
 
 TEST(StateManagerTest, PredictForJobClampsToOneDay) {
   const MachineTrace trace = test::constant_trace(8, 10, 60);
-  const StateManager manager(trace);
+  const StateManager manager(trace, std::make_shared<PredictionService>());
   const SimTime now = 7 * kSecondsPerDay;
   const Prediction p = manager.predict_for_job(now, 3 * kSecondsPerDay);
   EXPECT_EQ(p.steps, static_cast<std::size_t>(kSecondsPerDay / 60));
@@ -46,7 +57,7 @@ TEST(StateManagerTest, ReliabilityReflectsHistoricalFailures) {
       for (std::size_t i = 9 * 60; i < 10 * 60; ++i) day[i] = sample(95);
     trace.append_day(std::move(day));
   }
-  const StateManager manager(trace);
+  const StateManager manager(trace, std::make_shared<PredictionService>());
   const TimeWindow morning{.start_of_day = 8 * kSecondsPerHour,
                            .length = 3 * kSecondsPerHour};
   const TimeWindow evening{.start_of_day = 18 * kSecondsPerHour,

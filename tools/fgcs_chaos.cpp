@@ -32,16 +32,14 @@ struct ScenarioSetup {
   std::shared_ptr<PredictionService> service;
 };
 
-ScenarioSetup build_fleet(std::uint64_t seed, int machines, int days,
-                          bool with_service) {
+ScenarioSetup build_fleet(std::uint64_t seed, int machines, int days) {
   ScenarioSetup setup;
   WorkloadParams params;
   setup.traces = generate_fleet(params, seed, machines, days, "chaos");
-  if (with_service) setup.service = std::make_shared<PredictionService>();
+  setup.service = std::make_shared<PredictionService>();
   setup.gateways.reserve(setup.traces.size());
   for (const MachineTrace& trace : setup.traces)
-    setup.gateways.emplace_back(trace, Thresholds{}, EstimatorConfig{},
-                                setup.service);
+    setup.gateways.emplace_back(trace, Thresholds{}, setup.service);
   for (Gateway& gateway : setup.gateways) setup.registry.publish(gateway);
   return setup;
 }
@@ -67,11 +65,11 @@ void print_stats() {
 /// Jobs resubmitted with exponential backoff while replicas are revoked
 /// mid-execution.
 int run_revocation(std::uint64_t seed, int machines, int days, int jobs) {
-  ScenarioSetup setup = build_fleet(seed, machines, days, false);
+  ScenarioSetup setup = build_fleet(seed, machines, days);
   SchedulerConfig config;
   config.backoff_factor = 2.0;
   config.retry_delay = 120;
-  const JobScheduler scheduler(setup.registry, config);
+  const JobScheduler scheduler(setup.registry, setup.service, config);
   CheckpointConfig checkpoint;
   checkpoint.fixed_interval = 1800;
   checkpoint.cost_seconds = 30;
@@ -95,8 +93,8 @@ int run_revocation(std::uint64_t seed, int machines, int days, int jobs) {
 
 /// Replicated placement racing the same churn a single placement faces.
 int run_churn(std::uint64_t seed, int machines, int days, int jobs) {
-  ScenarioSetup setup = build_fleet(seed, machines, days, false);
-  const ReplicatingScheduler scheduler(setup.registry,
+  ScenarioSetup setup = build_fleet(seed, machines, days);
+  const ReplicatingScheduler scheduler(setup.registry, setup.service,
                                        machines < 3 ? machines : 3);
   int completed = 0;
   for (int j = 0; j < jobs; ++j) {
@@ -138,7 +136,7 @@ int run_planner(std::uint64_t seed, int machines, int days, int jobs) {
   std::vector<Gateway> gateways;
   gateways.reserve(traces.size());
   for (const MachineTrace& trace : traces)
-    gateways.emplace_back(trace, Thresholds{}, EstimatorConfig{}, service);
+    gateways.emplace_back(trace, Thresholds{}, service);
   Registry registry;
   for (Gateway& gateway : gateways) registry.publish(gateway);
 
@@ -146,8 +144,7 @@ int run_planner(std::uint64_t seed, int machines, int days, int jobs) {
   planner.target_availability = 0.95;
   planner.max_replicas = machines < 4 ? machines : 4;
   planner.fallback_replicas = machines < 2 ? machines : 2;
-  const ReplicatingScheduler scheduler(registry, planner, SchedulerConfig{},
-                                       service);
+  const ReplicatingScheduler scheduler(registry, service, planner);
 
   int completed = 0;
   for (int j = 0; j < jobs; ++j) {
@@ -695,9 +692,8 @@ int main_checked(int argc, char** argv) {
   } else if (scenario == "service") {
     // Batched placement through a shared PredictionService under forced
     // invalidation churn and latency injection.
-    ScenarioSetup setup = build_fleet(seed, machines, days, true);
-    const JobScheduler scheduler(setup.registry, SchedulerConfig{},
-                                 setup.service);
+    ScenarioSetup setup = build_fleet(seed, machines, days);
+    const JobScheduler scheduler(setup.registry, setup.service);
     int completed = 0;
     for (int j = 0; j < jobs; ++j) {
       const GuestJobSpec job{.job_id = "job" + std::to_string(j),

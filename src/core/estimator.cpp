@@ -12,28 +12,11 @@ TransitionCounts::TransitionCounts(std::size_t horizon)
 }
 
 void TransitionCounts::accumulate(std::span<const State> states) {
-  scan(states, /*add=*/true);
-}
-
-void TransitionCounts::remove(std::span<const State> states) {
-  scan(states, /*add=*/false);
-}
-
-void TransitionCounts::scan(std::span<const State> states, bool add) {
   FGCS_REQUIRE_MSG(states.size() <= horizon_ + 1,
                    "state sequence longer than the counting horizon");
   std::size_t i = 0;
   const std::size_t n = states.size();
-  const auto apply = [add](std::uint32_t& count) {
-    if (add) {
-      ++count;
-    } else {
-      FGCS_REQUIRE_MSG(count > 0,
-                       "removing a window that was never accumulated");
-      --count;
-    }
-  };
-  if (n > 0 && is_available(states[0])) apply(initial_[index_of(states[0])]);
+  if (n > 0 && is_available(states[0])) ++initial_[index_of(states[0])];
   while (i < n) {
     const State s = states[i];
     // The model's failure states are absorbing: for a guest, the window ends
@@ -46,9 +29,9 @@ void TransitionCounts::scan(std::span<const State> states, bool add) {
     const std::size_t from = index_of(s);
     const std::size_t hold = j - i;
     if (j < n) {
-      apply(counts_[slot(from, index_of(states[j]), std::min(hold, horizon_))]);
+      ++counts_[slot(from, index_of(states[j]), std::min(hold, horizon_))];
     } else {
-      apply(censored_[from]);
+      ++censored_[from];
     }
     i = j;
   }

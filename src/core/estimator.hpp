@@ -46,13 +46,6 @@ class TransitionCounts {
   /// Scans one classified window and adds its sojourns.
   void accumulate(std::span<const State> states);
 
-  /// Exact inverse of accumulate(): scans the same classified window and
-  /// subtracts its sojourns. Counts are integers, so add-then-remove
-  /// restores them bit-for-bit — the primitive the incremental estimator's
-  /// sliding window is built on. Removing a window that was never
-  /// accumulated is a precondition violation (counts would underflow).
-  void remove(std::span<const State> states);
-
   /// Completed sojourns in `from` of exactly `hold` ticks ending in `to`.
   std::uint32_t count(State from, State to, std::size_t hold) const;
 
@@ -74,10 +67,6 @@ class TransitionCounts {
   std::size_t slot(std::size_t from, std::size_t to, std::size_t hold) const {
     return (from * kStateCount + to) * horizon_ + (hold - 1);
   }
-
-  /// Shared ±1 sojourn scan behind accumulate()/remove(): one code path, so
-  /// the two directions cannot drift apart.
-  void scan(std::span<const State> states, bool add);
 
   std::size_t horizon_;
   std::vector<std::uint32_t> counts_;          // 2·5·horizon

@@ -11,7 +11,6 @@
 #include "core/curve_cache.hpp"     // one-pass Eq. 3 build, both initial states
 #include "core/empirical.hpp"       // empirical TR, evaluation metrics
 #include "core/estimator.hpp"       // Q/H estimation from history logs
-#include "core/incremental_estimator.hpp"  // O(changed-day) sliding (Q,H)
 #include "core/predictor.hpp"       // the public prediction API
 #include "core/prediction_service.hpp"  // batched + memoized fleet serving
 #include "core/semi_markov.hpp"     // discrete-time SMP + dense solver

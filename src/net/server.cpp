@@ -15,6 +15,7 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -44,6 +45,27 @@ constexpr std::size_t kStallWriteBytes = 16;
   throw DataError("net server: " + what + ": " + std::strerror(errno));
 }
 
+/// The store's loader: `key` as a trace file path under `trace_root`.
+MachineTrace load_trace(const std::string& trace_root, const std::string& key) {
+  if (trace_root.empty())
+    throw DataError("net server: unknown machine key '" + key + "'");
+  // Sandbox the load: the key must canonicalize to a path under trace_root
+  // (symlinks and ".." resolved), or the client is probing the filesystem.
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  const fs::path root = fs::weakly_canonical(trace_root, ec);
+  const fs::path resolved =
+      ec ? fs::path{} : fs::weakly_canonical(root / key, ec);
+  const auto [mismatch_root, ignored] =
+      std::mismatch(root.begin(), root.end(), resolved.begin(),
+                    resolved.end());
+  if (ec || root.empty() || mismatch_root != root.end())
+    throw DataError("net server: machine key '" + key +
+                    "' is not a trace under the configured root");
+  // Loading throws DataError itself when the path is not a readable trace.
+  return MachineTrace::load_file(resolved.string());
+}
+
 }  // namespace
 
 ServerStats& ServerStats::operator+=(const ServerStats& other) {
@@ -57,8 +79,6 @@ ServerStats& ServerStats::operator+=(const ServerStats& other) {
   errors += other.errors;
   wrong_shard += other.wrong_shard;
   gossip_syncs += other.gossip_syncs;
-  trace_loads += other.trace_loads;
-  loaded_traces += other.loaded_traces;
   appends += other.appends;
   append_samples += other.append_samples;
   append_duplicates += other.append_duplicates;
@@ -134,19 +154,10 @@ class PredictionServer::Reactor {
     std::vector<std::uint8_t> frame;   // completions: encoded wire frame
     bool is_error = false;             // completions: error vs response/ack
     std::uint64_t predictions = 0;     // kCompletion: results in the frame
-    // kAppendDone bookkeeping, copied from the store's AppendResult so the
-    // owning reactor attributes the ingest counters (stats() stays the exact
-    // sum of reactor snapshots — no store-global counter to drift).
-    std::uint64_t appended = 0;
-    std::uint64_t duplicates = 0;
-    std::uint64_t closed = 0;
-    std::uint64_t retired = 0;
-  };
-
-  /// One path-loaded trace plus its recency stamp for LRU eviction.
-  struct LoadedTrace {
-    MachineTrace trace;
-    std::uint64_t last_used = 0;
+    // kAppendDone: the store's bookkeeping, so the owning reactor
+    // attributes the ingest counters (stats() stays the exact sum of
+    // reactor snapshots — no store-global counter to drift).
+    AppendResult appended;
   };
 
   void wake();
@@ -158,15 +169,6 @@ class PredictionServer::Reactor {
   void dispatch_request(Connection& conn, std::span<const std::uint8_t> payload);
   void dispatch_append(Connection& conn, std::span<const std::uint8_t> payload);
   void complete(const InboxNode& node);
-  void evict_loaded_traces();
-  /// Resolves a machine key to a trace for one batch. A hit on the ingest
-  /// store pushes its snapshot onto `pins`, which the caller must keep alive
-  /// until the batch completes (registered and path-loaded traces have their
-  /// own lifetime guarantees).
-  const MachineTrace* resolve_trace(
-      const std::string& key,
-      std::vector<std::shared_ptr<const MachineTrace>>& pins);
-  const MachineTrace* load_trace(const std::string& key);
   void send_frame(Connection& conn, FrameType type,
                   std::span<const std::uint8_t> payload);
   void enqueue_bytes(Connection& conn, std::span<const std::uint8_t> bytes);
@@ -189,12 +191,6 @@ class PredictionServer::Reactor {
 
   std::unordered_map<int, Connection> connections_;  // reactor thread only
   std::uint64_t next_generation_ = 0;                // reactor thread only
-  std::map<std::string, LoadedTrace> loaded_paths_;  // reactor thread only
-  std::uint64_t load_clock_ = 0;                     // reactor thread only
-  /// Batches dispatched to the pool whose completion has not yet been
-  /// drained. While non-zero the loaded-trace cache must not evict (an
-  /// in-flight batch may hold pointers into it).
-  std::size_t in_flight_ = 0;                        // reactor thread only
   /// Pool tasks submitted but not yet finished pushing their node; stop()
   /// waits this out before reclaiming the inbox.
   std::atomic<std::uint64_t> pending_tasks_{0};
@@ -207,8 +203,6 @@ class PredictionServer::Reactor {
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> responses_{0};
   std::atomic<std::uint64_t> predictions_{0};
-  std::atomic<std::uint64_t> trace_loads_{0};
-  std::atomic<std::uint64_t> loaded_count_{0};
   // Instruments shared with the global exposition: attached both to the
   // fleet-wide net.* series (summed across reactors) and to this reactor's
   // net.reactor.<i>.* series.
@@ -577,7 +571,7 @@ void PredictionServer::Reactor::pump(Connection& conn) {
       continue;
     }
     if (frame.type == FrameType::kAppendSamples) {
-      if (server_.store_ == nullptr) {
+      if (!server_.config_.ingest) {
         // A serving-only fleet: appends are a client misconfiguration, not
         // transport trouble — reject without retry, keep the connection.
         errors_.add(1);
@@ -624,7 +618,7 @@ void PredictionServer::Reactor::pump(Connection& conn) {
 
 void PredictionServer::Reactor::dispatch_request(
     Connection& conn, std::span<const std::uint8_t> payload) {
-  const std::vector<WireRequestItem> items = decode_request(payload);
+  std::vector<WireRequestItem> items = decode_request(payload);
   requests_.add(1);
   // Shard routing: with an identity and a ring installed, a batch naming
   // any key the ring assigns to another node is refused whole — the
@@ -647,22 +641,6 @@ void PredictionServer::Reactor::dispatch_request(
       }
     }
   }
-  // Trim the loaded-trace cache only while no batch is in flight: pointers
-  // resolved below stay valid until their predict_batch returns, so the
-  // cache may transiently overshoot max_loaded_traces by the in-flight
-  // batches' (bounded) key sets.
-  if (in_flight_ == 0) evict_loaded_traces();
-  std::vector<BatchRequest> batch;
-  batch.reserve(items.size());
-  // Snapshots resolved from the ingest store are pinned for the batch's
-  // lifetime (moved into the pool task below): a concurrent day-close swaps
-  // the store's pointer but cannot free a trace a prediction still reads.
-  std::vector<std::shared_ptr<const MachineTrace>> pins;
-  for (const WireRequestItem& item : items)
-    batch.push_back(
-        BatchRequest{.trace = resolve_trace(item.machine_key, pins),
-                     .request = item.request});
-
   auto* node = new InboxNode;
   node->kind = InboxNode::Kind::kCompletion;
   node->fd = conn.fd;
@@ -670,9 +648,21 @@ void PredictionServer::Reactor::dispatch_request(
   pending_tasks_.fetch_add(1, std::memory_order_acq_rel);
   try {
     ThreadPool::default_pool().submit(
-        [this, node, batch = std::move(batch), pins = std::move(pins)] {
+        [this, node, items = std::move(items)] {
           try {
             TraceSpan span("net.request", &request_hist_);
+            // Resolved here, off the event loop (a first read may load a
+            // file), and pinned for the batch: a day close or an eviction
+            // swaps the store's pointer, never frees a trace in use.
+            std::vector<std::shared_ptr<const MachineTrace>> pins;
+            std::vector<BatchRequest> batch;
+            pins.reserve(items.size());
+            batch.reserve(items.size());
+            for (const WireRequestItem& item : items) {
+              pins.push_back(server_.store_->load(item.machine_key));
+              batch.push_back(BatchRequest{.trace = pins.back().get(),
+                                           .request = item.request});
+            }
             const std::vector<Prediction> results =
                 server_.service_->predict_batch(batch);
             node->predictions = results.size();
@@ -696,7 +686,6 @@ void PredictionServer::Reactor::dispatch_request(
     throw;
   }
   conn.busy = true;
-  ++in_flight_;
 }
 
 void PredictionServer::Reactor::dispatch_append(
@@ -721,10 +710,7 @@ void PredictionServer::Reactor::dispatch_append(
             .total_mem_mb = static_cast<int>(request.total_mem_mb)};
         const AppendResult result = server_.store_->append(
             spec, request.first_sample_index, request.samples);
-        node->appended = result.accepted;
-        node->duplicates = result.duplicates;
-        node->closed = result.days_closed;
-        node->retired = result.days_retired;
+        node->appended = result;
         const WireAppendAck ack{
             .accepted = result.accepted,
             .duplicates = result.duplicates,
@@ -759,11 +745,9 @@ void PredictionServer::Reactor::dispatch_append(
     throw;
   }
   conn.busy = true;
-  ++in_flight_;
 }
 
 void PredictionServer::Reactor::complete(const InboxNode& node) {
-  --in_flight_;
   const auto it = connections_.find(node.fd);
   // The connection may have closed (or its fd been reused by a later
   // accept) while the batch was in the pool; the generation mismatch makes
@@ -776,70 +760,16 @@ void PredictionServer::Reactor::complete(const InboxNode& node) {
     errors_.add(1);
   } else if (node.kind == InboxNode::Kind::kAppendDone) {
     appends_.add(1);
-    append_samples_.add(node.appended);
-    append_duplicates_.add(node.duplicates);
-    days_closed_.add(node.closed);
-    days_retired_.add(node.retired);
+    append_samples_.add(node.appended.accepted);
+    append_duplicates_.add(node.appended.duplicates);
+    days_closed_.add(node.appended.days_closed);
+    days_retired_.add(node.appended.days_retired);
   } else {
     responses_.fetch_add(1, std::memory_order_relaxed);
     predictions_.fetch_add(node.predictions, std::memory_order_relaxed);
   }
   enqueue_bytes(conn, node.frame);
   pump(conn);
-}
-
-void PredictionServer::Reactor::evict_loaded_traces() {
-  while (loaded_paths_.size() > server_.config_.max_loaded_traces) {
-    auto victim = loaded_paths_.begin();
-    for (auto it = loaded_paths_.begin(); it != loaded_paths_.end(); ++it)
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    loaded_paths_.erase(victim);
-  }
-  loaded_count_.store(loaded_paths_.size(), std::memory_order_relaxed);
-}
-
-const MachineTrace* PredictionServer::Reactor::resolve_trace(
-    const std::string& key,
-    std::vector<std::shared_ptr<const MachineTrace>>& pins) {
-  if (const auto it = server_.traces_.find(key); it != server_.traces_.end())
-    return &it->second;
-  if (server_.store_ != nullptr) {
-    if (std::shared_ptr<const MachineTrace> snap = server_.store_->snapshot(key)) {
-      pins.push_back(std::move(snap));
-      return pins.back().get();
-    }
-  }
-  if (const auto it = loaded_paths_.find(key); it != loaded_paths_.end()) {
-    it->second.last_used = ++load_clock_;
-    return &it->second.trace;
-  }
-  return load_trace(key);
-}
-
-const MachineTrace* PredictionServer::Reactor::load_trace(
-    const std::string& key) {
-  if (server_.config_.trace_root.empty())
-    throw DataError("net server: unknown machine key '" + key + "'");
-  // Sandbox the load: the key must canonicalize to a path under trace_root
-  // (symlinks and ".." resolved), or the client is probing the filesystem.
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path root = fs::weakly_canonical(server_.config_.trace_root, ec);
-  const fs::path resolved =
-      ec ? fs::path{} : fs::weakly_canonical(root / key, ec);
-  const auto [mismatch_root, ignored] =
-      std::mismatch(root.begin(), root.end(), resolved.begin(),
-                    resolved.end());
-  if (ec || root.empty() || mismatch_root != root.end())
-    throw DataError("net server: machine key '" + key +
-                    "' is not a trace under the configured root");
-  // Loading throws DataError itself when the path is not a readable trace.
-  const auto [it, inserted] = loaded_paths_.emplace(
-      key, LoadedTrace{.trace = MachineTrace::load_file(resolved.string()),
-                       .last_used = ++load_clock_});
-  trace_loads_.fetch_add(1, std::memory_order_relaxed);
-  loaded_count_.store(loaded_paths_.size(), std::memory_order_relaxed);
-  return &it->second.trace;
 }
 
 void PredictionServer::Reactor::send_frame(
@@ -918,8 +848,6 @@ ServerStats PredictionServer::Reactor::snapshot() const {
   stats.errors = errors_.value();
   stats.wrong_shard = wrong_shard_.value();
   stats.gossip_syncs = gossip_syncs_.value();
-  stats.trace_loads = trace_loads_.load(std::memory_order_relaxed);
-  stats.loaded_traces = loaded_count_.load(std::memory_order_relaxed);
   stats.appends = appends_.value();
   stats.append_samples = append_samples_.value();
   stats.append_duplicates = append_duplicates_.value();
@@ -940,29 +868,23 @@ PredictionServer::PredictionServer(ServerConfig config,
   FGCS_REQUIRE(config_.backlog >= 1);
   FGCS_REQUIRE(config_.max_connections >= 1);
   FGCS_REQUIRE_MSG(config_.reactors >= 1, "need at least one reactor");
-  if (config_.ingest) {
-    // The day-closed callback runs on whichever pool worker drove the
-    // append, under the machine's store lock; invalidate() is thread-safe
-    // and cheap (one generation bump). One closed day ⇒ exactly one bump —
-    // tests/net/ingest_differential_test.cpp pins that.
-    store_ = std::make_unique<TraceStore>(
-        TraceStoreConfig{.retention_days = config_.ingest_retention_days},
-        [this](const TraceStore::DayClosedEvent& event) {
-          service_->invalidate(event.machine_id);
-        });
-  }
+  // The day-closed callback runs on whichever pool worker drove the
+  // append, under the machine's store lock; invalidate() is thread-safe
+  // and cheap (one generation bump). One closed day ⇒ exactly one bump —
+  // tests/net/ingest_differential_test.cpp pins that.
+  store_ = std::make_unique<TraceStore>(
+      TraceStoreConfig{.retention_days = config_.ingest_retention_days,
+                       .max_loaded = config_.max_loaded_traces},
+      [this](const TraceStore::DayClosedEvent& event) {
+        service_->invalidate(event.machine_id);
+      },
+      std::bind_front(&load_trace, config_.trace_root));
   reactors_.reserve(config_.reactors);
   for (unsigned i = 0; i < config_.reactors; ++i)
     reactors_.push_back(std::make_unique<Reactor>(*this, i));
 }
 
 PredictionServer::~PredictionServer() { stop(); }
-
-void PredictionServer::add_trace(MachineTrace trace) {
-  FGCS_REQUIRE_MSG(!running(), "add_trace must precede start()");
-  std::string id = trace.machine_id();
-  traces_.insert_or_assign(std::move(id), std::move(trace));
-}
 
 unsigned PredictionServer::reactor_count() const {
   return static_cast<unsigned>(reactors_.size());

@@ -6,11 +6,16 @@
 // disjoint set of connections end to end: it accepts (or is handed) them,
 // reassembles their frames, dispatches decoded request batches into the
 // shared PredictionService via the persistent thread pool, and writes their
-// outboxes. A connection's fds, decoder state, outbox, and path-loaded
-// trace cache are touched by exactly one reactor thread — the strict
-// ownership that makes the sharding linearly scalable and keeps every
-// single-reactor invariant intact (reactors=1 reproduces the original
-// single-threaded server bit for bit on the golden rows).
+// outboxes. A connection's fds, decoder state and outbox are touched by
+// exactly one reactor thread — the strict ownership that makes the sharding
+// linearly scalable and keeps every single-reactor invariant intact
+// (reactors=1 reproduces the original single-threaded server bit for bit on
+// the golden rows).
+//
+// Traces: every served machine lives in the server's one TraceStore under
+// the key clients name it by — added with add_trace, streamed in, or loaded
+// once per server from under config.trace_root, taking its key as machine
+// id — so store, prediction cache and invalidation agree on one history.
 //
 // Listener sharding: every reactor binds its own SO_REUSEPORT listening
 // socket on the same host:port, so the kernel load-balances incoming
@@ -21,9 +26,9 @@
 // their lock-free MPSC inboxes (net/mpsc_queue.hpp), waking the target's
 // eventfd.
 //
-// Request dispatch is asynchronous: the owning reactor decodes and resolves
-// a request batch, submits the predict_batch + response encoding to the
-// thread pool, and goes back to polling; the pool worker pushes the encoded
+// Request dispatch is asynchronous: the owning reactor decodes a request
+// batch, submits trace resolution, predict_batch and response encoding to
+// the thread pool, and goes back to polling; the pool worker pushes the encoded
 // response onto the owning reactor's inbox (same lock-free queue) and wakes
 // it, and the reactor appends it to the connection's outbox. A per-
 // connection generation counter makes completions for already-closed (and
@@ -51,10 +56,11 @@
 // Streaming ingest (config.ingest): kAppendSamples frames route through the
 // same dispatch machinery — the owning reactor decodes the batch, the thread
 // pool runs the TraceStore append (so reactors never block on a day rollup),
-// and the ack rides the MPSC inbox back like any completion. Day closes
-// invalidate the machine in the PredictionService from inside the store
-// callback, and prediction batches resolve streamed machines via pinned
-// immutable snapshots, so serving and ingestion never contend on trace data.
+// and the ack rides the MPSC inbox back like any completion. An append
+// extends whatever history the store holds or can load for its key. Day
+// closes invalidate the machine in the PredictionService from inside the
+// store callback, and prediction batches read pinned immutable snapshots,
+// so serving and ingestion never contend on trace data.
 //
 // Decentralized registry (DESIGN.md §11): a server given a node_id and a
 // ring (set_ring()) refuses request batches containing keys the ring
@@ -73,15 +79,13 @@
 // snapshots (reactor_stats()); there is no separate global counter to
 // drift out of sync.
 //
-// Threading: start() spawns one thread per reactor. add_trace() must happen
-// before start(). stats(), reactor_stats() and stop() are safe from any
-// thread; snapshots are exact after stop() (the joins order every reactor-
-// thread increment).
+// Threading: start() spawns one thread per reactor. add_trace(), stats(),
+// reactor_stats() and stop() are safe from any thread; snapshots are exact
+// after stop() (the joins order every reactor-thread increment).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -114,23 +118,23 @@ struct ServerConfig {
   /// Round-robin placement is deterministic, which is what the reactor-
   /// ownership tests and multi-reactor chaos replays pin against.
   bool force_accept_handoff = false;
-  /// When non-empty, unknown machine keys are resolved as trace file paths
-  /// that must canonicalize to somewhere under this directory; empty (the
-  /// default) disables filesystem loading entirely, so clients can only
-  /// name registered traces. Registered ids always win over paths.
+  /// When non-empty, keys the store lacks load as trace file paths that must
+  /// canonicalize to under this directory; empty (the default) disables
+  /// filesystem loading, so clients can only name added or streamed
+  /// machines. Held ids always win over paths.
   std::string trace_root;
-  /// Cap on distinct path-loaded traces cached at once *per reactor*;
-  /// least-recently-used entries are evicted between batches (never while a
-  /// batch that may reference them is in flight).
+  /// Cap on path-loaded machines held at once, server-wide
+  /// (TraceStoreConfig::max_loaded); the least recently read one that has
+  /// never taken an append is evicted, at any time, to load another.
   std::size_t max_loaded_traces = 32;
-  /// Accept kAppendSamples frames: monitors stream packed samples into a
-  /// server-owned TraceStore, machines auto-register on first contact, and
-  /// every closed day bumps the machine's PredictionService generation so
-  /// memoized predictions refresh. Off by default — a serving-only fleet
-  /// rejects appends with a non-retryable error.
+  /// Accept kAppendSamples frames: monitors stream packed samples into the
+  /// store, extending an added or file-backed history or registering a new
+  /// machine, and every closed day bumps the machine's PredictionService
+  /// generation so memoized predictions refresh. Off by default — a
+  /// serving-only fleet rejects appends with a non-retryable error.
   bool ingest = false;
-  /// Sliding per-machine history budget for ingested traces, in days
-  /// (TraceStoreConfig::retention_days); 0 keeps all history.
+  /// Sliding per-machine history budget in days for machines that take
+  /// appends (TraceStoreConfig::retention_days); 0 keeps all history.
   std::int64_t ingest_retention_days = 0;
   /// This server's identity on the registry ring (DESIGN.md §11). Empty
   /// (the default) serves every key — the single-registry behavior. When
@@ -155,8 +159,6 @@ struct ServerStats {
   std::uint64_t errors = 0;        ///< error frames sent
   std::uint64_t wrong_shard = 0;   ///< batches refused with kWrongShard
   std::uint64_t gossip_syncs = 0;  ///< kGossipSync frames answered
-  std::uint64_t trace_loads = 0;   ///< trace files loaded from trace_root
-  std::uint64_t loaded_traces = 0; ///< path-loaded traces currently cached
   std::uint64_t appends = 0;          ///< append frames acked
   std::uint64_t append_samples = 0;   ///< samples accepted into the store
   std::uint64_t append_duplicates = 0;///< retransmitted samples skipped
@@ -180,10 +182,9 @@ class PredictionServer {
   PredictionServer(const PredictionServer&) = delete;
   PredictionServer& operator=(const PredictionServer&) = delete;
 
-  /// Registers a trace the server owns, keyed by its machine_id. Must be
-  /// called before start(). Registered traces are shared read-only by all
-  /// reactors.
-  void add_trace(MachineTrace trace);
+  /// Adopts a trace into the store, keyed by its machine_id (appends then
+  /// continue it). Throws DataError when the store already holds that id.
+  void add_trace(MachineTrace trace) { store_->adopt_trace(std::move(trace)); }
 
   /// Binds the listener(s), spawns one thread per reactor. Throws DataError
   /// when a socket cannot be set up.
@@ -209,8 +210,8 @@ class PredictionServer {
     return service_;
   }
 
-  /// The ingest store, or nullptr when config.ingest is off. Shared by all
-  /// reactors; safe to read from any thread (snapshots are immutable).
+  /// The store every served trace lives in; never null. Shared by all
+  /// reactors; safe to use from any thread (snapshots are immutable).
   TraceStore* store() const { return store_.get(); }
 
   /// Installs (or replaces) the registry ring this server routes by.
@@ -261,12 +262,11 @@ class PredictionServer {
 
   ServerConfig config_;
   std::shared_ptr<PredictionService> service_;
-  /// Streaming ingest sink (config.ingest only). Its day-closed callback
-  /// invalidates the machine in service_, so one generation bump per closed
-  /// day is structural, not best-effort.
+  /// Every served trace. Its day-closed callback invalidates the machine in
+  /// service_, so one generation bump per closed day is structural, not
+  /// best-effort; its loader reads trace_root files.
   std::unique_ptr<TraceStore> store_;
 
-  std::map<std::string, MachineTrace> traces_;  // by machine_id, frozen at start()
   /// Registry ring for shard routing; swapped whole under ring_mutex_ so
   /// reactors read a consistent immutable snapshot.
   std::shared_ptr<const HashRing> ring_;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/sample.hpp"
@@ -25,6 +26,7 @@ class MachineTrace {
                SimTime sampling_period, int total_mem_mb);
 
   const std::string& machine_id() const { return machine_id_; }
+  void set_machine_id(std::string id) { machine_id_ = std::move(id); }
   const Calendar& calendar() const { return calendar_; }
   SimTime sampling_period() const { return sampling_period_; }
   int total_mem_mb() const { return total_mem_mb_; }

@@ -1,5 +1,6 @@
 #include "trace/trace_store.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "util/failpoint.hpp"
@@ -29,53 +30,101 @@ void require_same_spec(const MachineSpec& have, const MachineSpec& got) {
 
 }  // namespace
 
-TraceStore::TraceStore(TraceStoreConfig config, DayClosedCallback on_day_closed)
-    : config_(config), on_day_closed_(std::move(on_day_closed)) {
+TraceStore::TraceStore(TraceStoreConfig config, DayClosedCallback on_day_closed,
+                       Loader loader)
+    : config_(config),
+      on_day_closed_(std::move(on_day_closed)),
+      loader_(std::move(loader)) {
   FGCS_REQUIRE(config_.retention_days >= 0);
 }
 
-TraceStore::Machine& TraceStore::resolve(const MachineSpec& spec) {
-  validate(spec);
-  const std::lock_guard<std::mutex> lock(registry_mutex_);
-  auto it = machines_.find(spec.machine_id);
-  if (it != machines_.end()) {
-    require_same_spec(it->second->spec, spec);
-    return *it->second;
-  }
-  auto machine = std::make_unique<Machine>();
-  machine->spec = spec;
-  machine->trace = std::make_shared<const MachineTrace>(
-      spec.machine_id, Calendar(spec.epoch_day_of_week), spec.sampling_period,
-      spec.total_mem_mb);
-  machine->buffer.reserve(machine->trace->samples_per_day());
-  return *machines_.emplace(spec.machine_id, std::move(machine)).first->second;
-}
-
-const TraceStore::Machine* TraceStore::find(
-    const std::string& machine_id) const {
-  const std::lock_guard<std::mutex> lock(registry_mutex_);
-  const auto it = machines_.find(machine_id);
-  return it == machines_.end() ? nullptr : it->second.get();
-}
-
-void TraceStore::register_machine(const MachineSpec& spec) { resolve(spec); }
-
-void TraceStore::adopt_trace(MachineTrace trace) {
-  const std::lock_guard<std::mutex> lock(registry_mutex_);
-  if (machines_.find(trace.machine_id()) != machines_.end())
-    throw DataError("ingest: machine '" + trace.machine_id() +
-                    "' already exists");
-  auto machine = std::make_unique<Machine>();
+std::shared_ptr<TraceStore::Machine> TraceStore::make_machine(
+    MachineTrace trace) {
+  auto machine = std::make_shared<Machine>();
   machine->spec = MachineSpec{
       .machine_id = trace.machine_id(),
       .epoch_day_of_week = trace.calendar().epoch_day_of_week(),
       .sampling_period = trace.sampling_period(),
       .total_mem_mb = trace.total_mem_mb()};
   machine->closed_days = trace.day_count();
-  machine->buffer.reserve(trace.samples_per_day());
   machine->trace = std::make_shared<const MachineTrace>(std::move(trace));
-  const std::string id = machine->spec.machine_id;
-  machines_.emplace(id, std::move(machine));
+  return machine;
+}
+
+TraceStore::Locked TraceStore::find(const std::string& machine_id,
+                                    bool append) const {
+  std::unique_lock<std::mutex> registry(registry_mutex_);
+  const auto it = machines_.find(machine_id);
+  if (it == machines_.end()) return {};
+  std::shared_ptr<Machine> machine = it->second;
+  if (machine->last_read != 0) machine->last_read = append ? 0 : ++read_clock_;
+  registry.unlock();
+  std::unique_lock<std::mutex> lock(machine->mutex);
+  return {std::move(machine), std::move(lock)};
+}
+
+TraceStore::Locked TraceStore::known(const std::string& machine_id) const {
+  Locked locked = find(machine_id, /*append=*/false);
+  if (locked.machine == nullptr)
+    throw DataError("ingest: unknown machine '" + machine_id + "'");
+  return locked;
+}
+
+TraceStore::Locked TraceStore::acquire(const std::string& machine_id,
+                                       const MachineSpec* spec) {
+  const bool append = spec != nullptr;
+  if (Locked held = find(machine_id, append); held.machine) return held;
+  if (!loader_ && !append) return known(machine_id);  // throws
+  const std::lock_guard<std::mutex> inserting(insert_mutex_);
+  if (Locked held = find(machine_id, append); held.machine) return held;
+  std::optional<MachineTrace> trace;
+  if (loader_) {
+    try {
+      trace = loader_(machine_id);
+      trace->set_machine_id(machine_id);
+      loads_.fetch_add(1);
+    } catch (const DataError&) {
+      if (!append) throw;  // an appender registers a machine no file holds
+    }
+  }
+  if (!trace)
+    trace.emplace(machine_id, Calendar(spec->epoch_day_of_week),
+                  spec->sampling_period, spec->total_mem_mb);
+  std::shared_ptr<Machine> machine = make_machine(std::move(*trace));
+  {
+    const std::lock_guard<std::mutex> registry(registry_mutex_);
+    if (!append) {
+      evict_for_load();
+      machine->last_read = ++read_clock_;
+    }
+    machines_.emplace(machine_id, machine);
+  }
+  std::unique_lock<std::mutex> lock(machine->mutex);
+  return {std::move(machine), std::move(lock)};
+}
+
+void TraceStore::evict_for_load() {
+  // Loads arrive one at a time, so one eviction keeps the cap.
+  std::size_t loaded = 0;
+  auto victim = machines_.end();
+  for (auto it = machines_.begin(); it != machines_.end(); ++it) {
+    if (it->second->last_read == 0) continue;
+    ++loaded;
+    if (victim == machines_.end() ||
+        it->second->last_read < victim->second->last_read)
+      victim = it;
+  }
+  if (loaded >= config_.max_loaded && victim != machines_.end())
+    machines_.erase(victim);  // readers still pin its snapshot
+}
+
+void TraceStore::adopt_trace(MachineTrace trace) {
+  const std::string id = trace.machine_id();
+  std::shared_ptr<Machine> machine = make_machine(std::move(trace));
+  const std::lock_guard<std::mutex> inserting(insert_mutex_);
+  const std::lock_guard<std::mutex> registry(registry_mutex_);
+  if (!machines_.emplace(id, std::move(machine)).second)
+    throw DataError("ingest: machine '" + id + "' already exists");
 }
 
 void TraceStore::close_day(Machine& machine, AppendResult& result) {
@@ -107,9 +156,12 @@ AppendResult TraceStore::append(const MachineSpec& spec,
                                 std::uint64_t first_sample_index,
                                 std::span<const ResourceSample> samples) {
   FGCS_REQUIRE(!samples.empty());
-  Machine& machine = resolve(spec);
-  const std::lock_guard<std::mutex> lock(machine.mutex);
+  validate(spec);
+  const Locked locked = acquire(spec.machine_id, &spec);
+  Machine& machine = *locked.machine;
+  require_same_spec(machine.spec, spec);
   const std::size_t per_day = machine.trace->samples_per_day();
+  machine.buffer.reserve(per_day);  // first append only
   AppendResult result;
   std::uint64_t next =
       static_cast<std::uint64_t>(machine.closed_days) * per_day +
@@ -141,49 +193,33 @@ AppendResult TraceStore::append(const MachineSpec& spec,
 
 std::shared_ptr<const MachineTrace> TraceStore::snapshot(
     const std::string& machine_id) const {
-  const Machine* machine = find(machine_id);
-  if (machine == nullptr) return nullptr;
-  const std::lock_guard<std::mutex> lock(machine->mutex);
-  return machine->trace;
+  const Locked locked = find(machine_id, /*append=*/false);
+  return locked.machine ? locked.machine->trace : nullptr;
+}
+
+std::shared_ptr<const MachineTrace> TraceStore::load(
+    const std::string& machine_id) {
+  return acquire(machine_id, nullptr).machine->trace;
 }
 
 std::int64_t TraceStore::first_day_id(const std::string& machine_id) const {
-  const Machine* machine = find(machine_id);
-  if (machine == nullptr)
-    throw DataError("ingest: unknown machine '" + machine_id + "'");
-  const std::lock_guard<std::mutex> lock(machine->mutex);
-  return machine->first_day_id;
+  return known(machine_id).machine->first_day_id;
 }
 
 std::uint64_t TraceStore::next_index(const std::string& machine_id) const {
-  const Machine* machine = find(machine_id);
-  if (machine == nullptr)
-    throw DataError("ingest: unknown machine '" + machine_id + "'");
-  const std::lock_guard<std::mutex> lock(machine->mutex);
-  return static_cast<std::uint64_t>(machine->closed_days) *
-             machine->trace->samples_per_day() +
-         machine->buffer.size();
+  const Locked locked = known(machine_id);
+  return static_cast<std::uint64_t>(locked.machine->closed_days) *
+             locked.machine->trace->samples_per_day() +
+         locked.machine->buffer.size();
 }
 
 std::size_t TraceStore::buffered_samples(const std::string& machine_id) const {
-  const Machine* machine = find(machine_id);
-  if (machine == nullptr)
-    throw DataError("ingest: unknown machine '" + machine_id + "'");
-  const std::lock_guard<std::mutex> lock(machine->mutex);
-  return machine->buffer.size();
+  return known(machine_id).machine->buffer.size();
 }
 
 std::size_t TraceStore::machine_count() const {
   const std::lock_guard<std::mutex> lock(registry_mutex_);
   return machines_.size();
-}
-
-std::vector<std::string> TraceStore::machine_ids() const {
-  const std::lock_guard<std::mutex> lock(registry_mutex_);
-  std::vector<std::string> ids;
-  ids.reserve(machines_.size());
-  for (const auto& [id, machine] : machines_) ids.push_back(id);
-  return ids;
 }
 
 }  // namespace fgcs

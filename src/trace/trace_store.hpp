@@ -23,6 +23,14 @@
 // with the day's samples still buffered and the append's earlier samples
 // retained, so a retried batch dedups the overlap and resumes the close.
 //
+// Loading: the first load() or append naming a key the store lacks runs
+// the Loader once (insertions serialize), and the trace takes the key as
+// its machine id. An append continues that history, or starts an empty one
+// when the loader has none. Loaded machines no append has touched are a
+// cache: past max_loaded the least recently read is evicted, under the
+// registry mutex like an append's promotion out of it, so an append never
+// lands on an evicted machine.
+//
 // Thread-safety: all public methods are safe to call concurrently; each
 // machine is guarded by its own mutex (appends for one machine serialize,
 // different machines proceed in parallel). The day-closed callback runs
@@ -30,6 +38,7 @@
 // store.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -61,6 +70,9 @@ struct TraceStoreConfig {
   /// holds this many days, closing a new day retires the oldest one.
   /// 0 (default) keeps all history.
   std::int64_t retention_days = 0;
+  /// Loaded machines that have never taken an append, held at once; the
+  /// least recently read is evicted to make room for a new load.
+  std::size_t max_loaded = 32;
 };
 
 /// Self-describing machine registration, as carried by every append frame.
@@ -93,15 +105,15 @@ class TraceStore {
     std::int64_t retired_day = -1;
   };
   using DayClosedCallback = std::function<void(const DayClosedEvent&)>;
+  /// The history of a key the store lacks, or DataError when there is none.
+  /// Runs under the store's insertion lock: must not call into the store.
+  using Loader = std::function<MachineTrace(const std::string& machine_id)>;
 
   explicit TraceStore(TraceStoreConfig config = {},
-                      DayClosedCallback on_day_closed = {});
+                      DayClosedCallback on_day_closed = {},
+                      Loader loader = {});
 
   const TraceStoreConfig& config() const { return config_; }
-
-  /// Registers a machine with an empty history. Re-registering with an
-  /// identical spec is a no-op; a differing spec throws DataError.
-  void register_machine(const MachineSpec& spec);
 
   /// Seeds a machine from pre-existing history (day ids start at 0, next
   /// sample index at day_count · samples_per_day). Throws DataError if the
@@ -109,7 +121,8 @@ class TraceStore {
   void adopt_trace(MachineTrace trace);
 
   /// Appends a contiguous batch starting at `first_sample_index`,
-  /// auto-registering the machine from `spec` on first contact. Skips
+  /// auto-registering the machine on first contact (with the loader's
+  /// history when it knows the id, else empty from `spec`). Skips
   /// already-covered indices (duplicates), buffers the rest, and closes
   /// day(s) when the buffer fills. Throws DataError on a spec mismatch or
   /// an index gap, RollupError when a day-close was injected to fail.
@@ -122,6 +135,10 @@ class TraceStore {
   std::shared_ptr<const MachineTrace> snapshot(
       const std::string& machine_id) const;
 
+  /// snapshot(), except that a machine the store lacks is loaded first.
+  /// Throws DataError when it is neither held nor loadable.
+  std::shared_ptr<const MachineTrace> load(const std::string& machine_id);
+
   /// Absolute day id of snapshot day 0 (days retired so far). Throws
   /// DataError for an unknown machine.
   std::int64_t first_day_id(const std::string& machine_id) const;
@@ -133,7 +150,9 @@ class TraceStore {
   std::size_t buffered_samples(const std::string& machine_id) const;
 
   std::size_t machine_count() const;
-  std::vector<std::string> machine_ids() const;
+
+  /// Histories the loader has produced (reloads after eviction included).
+  std::uint64_t loads() const { return loads_.load(); }
 
  private:
   struct Machine {
@@ -143,17 +162,38 @@ class TraceStore {
     std::vector<ResourceSample> buffer;  ///< partial current day
     std::int64_t first_day_id = 0;       ///< days retired so far
     std::int64_t closed_days = 0;        ///< absolute id of the day being buffered
+    std::uint64_t last_read = 0;  ///< evictable loads only; registry_mutex_
   };
 
-  Machine& resolve(const MachineSpec& spec);
-  const Machine* find(const std::string& machine_id) const;
+  /// A machine with its mutex held; destroys the lock before the pointer.
+  struct Locked {
+    std::shared_ptr<Machine> machine;
+    std::unique_lock<std::mutex> lock;
+  };
+
+  static std::shared_ptr<Machine> make_machine(MachineTrace trace);
+  /// The held machine, locked, or an empty Locked. A read refreshes a
+  /// loaded machine's recency; an append takes it out of eviction.
+  Locked find(const std::string& machine_id, bool append) const;
+  /// find(), or DataError when the machine is unknown.
+  Locked known(const std::string& machine_id) const;
+  /// find(), loading a miss. `spec` names an appender (a miss the loader
+  /// cannot fill registers it empty); a read miss nothing fills throws.
+  Locked acquire(const std::string& machine_id, const MachineSpec* spec);
+  /// Evicts the least recently read loaded machine when the cap is full;
+  /// must hold registry_mutex_.
+  void evict_for_load();
   /// Rolls the machine's full buffer into its trace; must hold its mutex.
   void close_day(Machine& machine, AppendResult& result);
 
   TraceStoreConfig config_;
   DayClosedCallback on_day_closed_;
+  Loader loader_;
+  std::mutex insert_mutex_;  ///< held across every insertion and its load
   mutable std::mutex registry_mutex_;
-  std::map<std::string, std::unique_ptr<Machine>> machines_;
+  std::map<std::string, std::shared_ptr<Machine>> machines_;
+  mutable std::uint64_t read_clock_ = 0;  ///< guarded by registry_mutex_
+  std::atomic<std::uint64_t> loads_{0};
 };
 
 }  // namespace fgcs

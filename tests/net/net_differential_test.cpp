@@ -210,7 +210,7 @@ INSTANTIATE_TEST_SUITE_P(Reactors, NetDifferentialTest,
 TEST(NetTraceLoading, RootSandboxedLoadsServeBitIdenticalAndStayBounded) {
   // A server with trace_root set loads path-named traces from under the
   // root only, serves them bit-identically to in-process prediction, and
-  // LRU-evicts the loaded cache down to max_loaded_traces between requests.
+  // LRU-evicts its store's loaded machines down to max_loaded_traces.
   namespace fs = std::filesystem;
   const fs::path root = fs::current_path() / "net-trace-root-test";
   fs::create_directories(root);
@@ -259,8 +259,8 @@ TEST(NetTraceLoading, RootSandboxedLoadsServeBitIdenticalAndStayBounded) {
   }
 
   server.stop();
-  EXPECT_GE(server.stats().trace_loads, 4u);  // alternation reloaded traces
-  EXPECT_LE(server.stats().loaded_traces, 1u + 1u);  // bounded (cap + batch)
+  EXPECT_GE(server.store()->loads(), 4u);  // alternation reloaded traces
+  EXPECT_LE(server.store()->machine_count(), 1u);  // bounded by the cap
 }
 
 }  // namespace

@@ -177,10 +177,9 @@ TEST(Reactor, StatsAggregateEqualsPerReactorSum) {
   EXPECT_EQ(total.predictions, summed.predictions);
   EXPECT_EQ(total.responses, summed.responses);
   EXPECT_EQ(total.errors, summed.errors);
-  EXPECT_EQ(total.trace_loads, summed.trace_loads);
-  EXPECT_EQ(total.loaded_traces, summed.loaded_traces);
   EXPECT_EQ(total.rx_bytes, summed.rx_bytes);
   EXPECT_EQ(total.tx_bytes, summed.tx_bytes);
+  EXPECT_EQ(total, summed);  // every field, the ones above included
 
   // And the totals are the traffic we actually sent: 6 connections × 3
   // requests (2 served + 1 rejected).

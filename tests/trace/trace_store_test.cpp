@@ -1,14 +1,19 @@
 // TraceStore: the ingest path's day-boundary rollup. Pins the append
 // contract (idempotent duplicates, gap rejection, spec pinning), the
 // copy-on-rollup snapshot semantics, retention-based retirement, trace
-// adoption, the DayClosedEvent ordering, and crash-consistency under the
-// ingest.rollup.fail failpoint (a failed close must leave the machine
-// retryable, not wedged).
+// adoption, the DayClosedEvent ordering, the loader (one load per key, the
+// key as machine id, LRU eviction of never-appended loads, no append lost
+// to an eviction), and crash-consistency under the ingest.rollup.fail
+// failpoint (a failed close must leave the machine retryable, not wedged).
 #include "trace/trace_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "test_support.hpp"
@@ -107,19 +112,22 @@ TEST(TraceStoreTest, SpecIsPinnedAtFirstSight) {
                DataError);
   MachineSpec moved = spec();
   moved.epoch_day_of_week = 5;
-  EXPECT_THROW(store.register_machine(moved), DataError);
+  EXPECT_THROW(store.append(moved, 1, std::vector<ResourceSample>{sample(10)}),
+               DataError);
 }
 
 TEST(TraceStoreTest, InvalidSpecsAreRejected) {
   TraceStore store;
+  const std::vector<ResourceSample> one{sample(10)};
   MachineSpec bad = spec("");
-  EXPECT_THROW(store.register_machine(bad), DataError);
+  EXPECT_THROW(store.append(bad, 0, one), DataError);
   bad = spec();
   bad.sampling_period = 7;  // does not divide 86400
-  EXPECT_THROW(store.register_machine(bad), DataError);
+  EXPECT_THROW(store.append(bad, 0, one), DataError);
   bad = spec();
   bad.epoch_day_of_week = 9;
-  EXPECT_THROW(store.register_machine(bad), DataError);
+  EXPECT_THROW(store.append(bad, 0, one), DataError);
+  EXPECT_EQ(store.machine_count(), 0u);
 }
 
 TEST(TraceStoreTest, RetentionRetiresTheOldestDay) {
@@ -207,6 +215,156 @@ TEST(TraceStoreTest, UnknownMachinesReadAsAbsent) {
   EXPECT_THROW(store.first_day_id("ghost"), DataError);
   EXPECT_THROW(store.buffered_samples("ghost"), DataError);
   EXPECT_EQ(store.machine_count(), 0u);
+}
+
+// ---- the loader: machines the store was never told about ----
+
+/// A loader serving `days` constant days for every key but "missing",
+/// counting its calls.
+TraceStore::Loader counting_loader(std::atomic<int>& calls, int days = 1) {
+  return [&calls, days](const std::string& id) {
+    ++calls;
+    if (id == "missing") throw DataError("no trace for " + id);
+    return test::constant_trace(days, 10, kPeriod, 512, /*epoch_dow=*/2);
+  };
+}
+
+TEST(TraceStoreTest, LoadTakesTheKeyAsMachineId) {
+  std::atomic<int> calls{0};
+  TraceStore store({}, {}, counting_loader(calls, 2));
+  const std::shared_ptr<const MachineTrace> loaded = store.load("dir/key");
+  EXPECT_EQ(loaded->machine_id(), "dir/key");  // not the file's "test"
+  EXPECT_EQ(loaded->day_count(), 2);
+  EXPECT_EQ(store.load("dir/key"), loaded);  // held: no second load
+  EXPECT_EQ(store.snapshot("dir/key"), loaded);
+  EXPECT_EQ(store.next_index("dir/key"), 48u);
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(store.loads(), 1u);
+}
+
+TEST(TraceStoreTest, UnloadableKeysThrowAndLoadAgainNextTime) {
+  std::atomic<int> calls{0};
+  TraceStore store({}, {}, counting_loader(calls));
+  EXPECT_THROW(store.load("missing"), DataError);
+  EXPECT_THROW(store.load("missing"), DataError);
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_EQ(store.machine_count(), 0u);
+  EXPECT_EQ(store.snapshot("missing"), nullptr);
+  EXPECT_EQ(store.loads(), 0u);
+  EXPECT_THROW(TraceStore().load("m0"), DataError);  // no loader at all
+}
+
+TEST(TraceStoreTest, AppendsContinueALoadableHistory) {
+  std::atomic<int> calls{0};
+  TraceStore store({}, {}, counting_loader(calls, 2));
+  // A key the loader knows: the append continues its two days.
+  const AppendResult result = store.append(spec("file"), 48, day_of(30));
+  EXPECT_EQ(result.accepted, 24u);
+  EXPECT_EQ(result.days_closed, 1u);
+  const std::shared_ptr<const MachineTrace> snap = store.snapshot("file");
+  ASSERT_EQ(snap->day_count(), 3);
+  EXPECT_EQ(snap->at(0, 0).host_load_pct, 10);
+  EXPECT_EQ(snap->at(2, 0).host_load_pct, 30);
+  // The loaded spec is pinned like a registered one.
+  MachineSpec moved = spec("file");
+  moved.total_mem_mb = 1024;
+  EXPECT_THROW(store.append(moved, 72, day_of(30)), DataError);
+  // A key it does not know registers an empty machine.
+  EXPECT_EQ(store.append(spec("missing"), 0, day_of(40)).days_closed, 1u);
+  EXPECT_EQ(store.snapshot("missing")->day_count(), 1);
+  EXPECT_EQ(store.loads(), 1u);
+}
+
+TEST(TraceStoreTest, LeastRecentlyReadLoadedMachineIsEvicted) {
+  std::atomic<int> calls{0};
+  TraceStore store(TraceStoreConfig{.max_loaded = 2}, {},
+                   counting_loader(calls));
+  store.adopt_trace(test::constant_trace(1, 10, kPeriod, 512, 2));
+  store.load("a");
+  store.load("b");
+  store.append(spec("b"), 24, day_of(20));  // promoted: never evicted
+  const std::shared_ptr<const MachineTrace> pinned = store.load("c");
+  store.load("a");  // c is now the least recently read
+  store.load("d");
+  EXPECT_EQ(store.snapshot("c"), nullptr);
+  EXPECT_EQ(pinned->day_count(), 1);  // a reader's pin outlives eviction
+  for (const char* held : {"test", "a", "b", "d"})
+    EXPECT_NE(store.snapshot(held), nullptr) << held;
+  ASSERT_NE(store.snapshot("b"), nullptr);
+  EXPECT_EQ(store.snapshot("b")->day_count(), 2);
+  EXPECT_EQ(store.machine_count(), 4u);
+  EXPECT_EQ(store.load("c")->day_count(), 1);  // reloads
+  EXPECT_EQ(store.loads(), 5u);
+}
+
+TEST(TraceStoreTest, ConcurrentMissesOfOneKeyLoadItOnce) {
+  std::atomic<int> calls{0};
+  TraceStore store({}, {}, [&calls](const std::string&) {
+    ++calls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return test::constant_trace(1, 10, kPeriod, 512, 2);
+  });
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const MachineTrace>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] { seen[t] = store.load("k"); });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(calls.load(), 1);
+  for (const std::shared_ptr<const MachineTrace>& trace : seen)
+    EXPECT_EQ(trace, seen.front());
+}
+
+TEST(TraceStoreTest, ConcurrentAppendsNeverLandOnAnEvictedMachine) {
+  // Cap 1 and readers churning every key: each load evicts the last one,
+  // so a key is often held as an evictable load when its first append
+  // arrives. An append that raced an eviction and landed on the evicted
+  // copy loses its day: the key reloads the loader's single day, and the
+  // next append finds a gap. The race needs that coincidence, so every
+  // round starts a fresh store.
+  constexpr int kRounds = 20;
+  constexpr int kDays = 3;
+  std::vector<std::string> keys;
+  for (int k = 0; k < 16; ++k) keys.push_back("w" + std::to_string(k));
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::atomic<int> calls{0};
+    TraceStore store(TraceStoreConfig{.max_loaded = 1}, {},
+                     counting_loader(calls));
+    std::atomic<bool> done{false};
+    std::atomic<int> reads{0};
+    std::vector<std::thread> readers;
+    for (std::size_t r = 0; r < 2; ++r)
+      readers.emplace_back([&, r] {
+        for (std::size_t i = r; !done.load(); ++i) {
+          store.load(keys[i % keys.size()]);
+          ++reads;
+        }
+      });
+    std::atomic<int> rejected{0};
+    std::vector<std::thread> appenders;
+    for (std::size_t a = 0; a < 4; ++a)
+      appenders.emplace_back([&, a] {
+        while (reads.load() < 100) std::this_thread::yield();
+        for (std::size_t k = a; k < keys.size(); k += 4) {
+          try {
+            for (int d = 1; d <= kDays; ++d)
+              store.append(spec(keys[k]), static_cast<std::uint64_t>(d) * 24,
+                           day_of(20 + d));
+          } catch (const DataError&) {
+            ++rejected;  // a gap: the machine lost an appended day
+          }
+        }
+      });
+    for (std::thread& appender : appenders) appender.join();
+    done = true;
+    for (std::thread& reader : readers) reader.join();
+    EXPECT_EQ(rejected.load(), 0);
+    for (const std::string& key : keys) {
+      EXPECT_EQ(store.next_index(key), (kDays + 1) * 24u) << key;
+      EXPECT_EQ(store.snapshot(key)->day_count(), kDays + 1) << key;
+    }
+  }
 }
 
 // ---- crash consistency: the rollup failpoint ----

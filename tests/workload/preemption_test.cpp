@@ -3,17 +3,14 @@
 // hazard actually increasing in uptime, the hard max-lifetime cutoff never
 // leaking an over-age up-spell into a trace, burst revocations correlated
 // within (and confined to) their group, and clean round-trips through the
-// binary trace format and the incremental estimator.
+// binary trace format.
 #include "workload/preemption.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <sstream>
 #include <vector>
 
-#include "core/estimator.hpp"
-#include "core/incremental_estimator.hpp"
 #include "test_support.hpp"
 #include "util/time.hpp"
 
@@ -214,65 +211,6 @@ TEST(PreemptionGeneratorTest, RoundTripsThroughBinarySaveLoad) {
     for (std::size_t i = 0; i < original.samples_per_day(); ++i)
       ASSERT_EQ(loaded.at(day, i), original.at(day, i))
           << "day " << day << " tick " << i;
-}
-
-TEST(PreemptionGeneratorTest, IncrementalEstimatorMatchesScratchBitForBit) {
-  // The streaming path must learn the new hazard shape exactly like the
-  // batch path: feed the trace day by day through IncrementalEstimator and
-  // compare every model double against the from-scratch estimate.
-  PreemptionParams params;
-  const PreemptionTraceGenerator generator(params, 2026);
-  const MachineTrace full = generator.generate("vm-inc", 0, 14);
-
-  const EstimatorConfig config;
-  TimeWindow window;
-  window.start_of_day = 9 * kSecondsPerHour;
-  window.length = 3 * kSecondsPerHour;
-  const DayType type = full.day_type(full.day_count());
-
-  IncrementalEstimator incremental(config, window, type,
-                                   full.sampling_period());
-  MachineTrace streamed("vm-inc", Calendar(0), full.sampling_period(),
-                        full.total_mem_mb());
-  for (std::int64_t day = 0; day < full.day_count(); ++day) {
-    std::vector<ResourceSample> samples;
-    samples.reserve(full.samples_per_day());
-    for (std::size_t i = 0; i < full.samples_per_day(); ++i)
-      samples.push_back(full.at(day, i));
-    streamed.append_day(std::move(samples));
-    incremental.on_day_appended(streamed, 0);
-  }
-
-  const SmpEstimator scratch(config);
-  std::int64_t target = full.day_count();
-  while (full.day_type(target) != type) ++target;
-  const std::vector<std::int64_t> days =
-      scratch.training_days_for(full, target, window);
-  const TransitionCounts want_counts =
-      scratch.count_transitions(full, days, window);
-  const SmpModel want = scratch.build_model(want_counts);
-  const SmpModel got = incremental.model();
-
-  ASSERT_EQ(got.horizon(), want.horizon());
-  for (std::size_t from = 0; from < 2; ++from) {
-    double g = got.exit_mass(from);
-    double w = want.exit_mass(from);
-    EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0) << "exit_mass " << from;
-    for (std::size_t to = 0; to < kStateCount; ++to) {
-      g = got.q(from, to);
-      w = want.q(from, to);
-      EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
-          << "q(" << from << "," << to << ")";
-      for (std::size_t hold = 1; hold <= want.horizon(); ++hold) {
-        g = got.h(from, to, hold);
-        w = want.h(from, to, hold);
-        ASSERT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
-            << "h(" << from << "," << to << "," << hold << ")";
-      }
-    }
-  }
-  EXPECT_EQ(incremental.majority_initial_state(),
-            want_counts.majority_initial_state());
 }
 
 }  // namespace

@@ -6,17 +6,19 @@
 //              [--node-id ID [--peers ID=H:P,...] [--gossip-interval MS]
 //               [--vnodes N]] TRACE...
 //
-// Loads each positional trace file into a PredictionServer backed by one
-// memoized PredictionService and serves request frames (see DESIGN.md §9)
-// until interrupted or until --max-requests request frames have been
-// answered. Clients name machines by the loaded machine id; with
-// --load-root DIR they may also name trace file paths, which the server
-// loads on demand but only from under DIR (off by default — serving
-// arbitrary server-side files to any connected client is opt-in). With
-// --ingest the server also accepts kAppendSamples frames: monitors stream
-// packed samples, machines auto-register on first contact, every closed day
-// refreshes the prediction cache, and --retention N bounds each streamed
-// machine's history to a sliding N-day window (0 = unlimited).
+// Loads each positional trace file into the trace store of a
+// PredictionServer backed by one memoized PredictionService and serves
+// request frames (see DESIGN.md §9) until interrupted or until
+// --max-requests request frames have been answered. Clients name machines
+// by the loaded machine id; with --load-root DIR they may also name trace
+// file paths, which the server loads into the same store on first use, but
+// only from under DIR (off by default — serving arbitrary server-side files
+// to any connected client is opt-in). With --ingest the server also accepts
+// kAppendSamples frames: monitors stream packed samples, extending a loaded
+// machine's history or auto-registering a new machine on first contact,
+// every closed day refreshes the prediction cache, and --retention N bounds
+// each appended machine's history to a sliding N-day window (0 =
+// unlimited).
 //
 // Decentralized registry (DESIGN.md §11, bring-up walkthrough in
 // docs/OPERATIONS.md): --node-id joins this server to a registry ring under

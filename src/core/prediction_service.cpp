@@ -165,22 +165,10 @@ Prediction PredictionService::predict(const MachineTrace& trace,
   misses_.add();
   const Prediction prediction = entry.by_init[index_of(init)];
 
-  // Chaos hook for the invalidate-vs-insert race below: forces an
-  // invalidation to land exactly between the compute phase and the insert
-  // lock, the window the generation re-check must close.
-  if (FGCS_FAILPOINT("service.insert.race")) invalidate(trace.machine_id());
-
+  // An invalidate() that lands after the generation read files this entry
+  // under a dead key: never served, it ages out of the LRU like any other.
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    // An invalidate() that landed after our generation read has already
-    // swept this machine; inserting now would file the entry under a dead
-    // generation key — unreachable by every future lookup, crowding the LRU
-    // until capacity eviction. Skip the insert; the computed result is
-    // still correct (training days were revalidated), just not cacheable.
-    if (generation_of(trace.machine_id()) != key.generation) {
-      stale_drops_.add();
-      return prediction;
-    }
     const auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       // A concurrent predict raced us here and already cached the same
@@ -253,20 +241,6 @@ void PredictionService::invalidate(const std::string& machine_id) {
     ++generations_[machine_id];
   }
   invalidations_.add();
-  // The generation bump already makes the old keys unreachable; also drop
-  // the machine's entries so dead models do not crowd the LRU.
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    Shard& shard = shards_[s];
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->first.machine_id == machine_id) {
-        shard.index.erase(it->first);
-        it = shard.lru.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 }
 
 std::uint64_t PredictionService::history_generation(
@@ -281,14 +255,6 @@ std::size_t PredictionService::size() const {
     total += shards_[s].index.size();
   }
   return total;
-}
-
-void PredictionService::clear() {
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    const std::lock_guard<std::mutex> lock(shards_[s].mutex);
-    shards_[s].lru.clear();
-    shards_[s].index.clear();
-  }
 }
 
 ServiceStats PredictionService::stats() const {

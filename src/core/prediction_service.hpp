@@ -16,11 +16,19 @@
 // Cache key and staleness: entries are keyed by (machine_id, day_type,
 // window_start, window_length, history_generation). The generation is a
 // monotone counter bumped by invalidate(machine_id) whenever the machine's
-// trace gains new days — traces are append-only, so a counter is a complete
-// staleness signal and costs O(1) where content hashing would cost
-// O(samples). As defense in depth every lookup re-runs the cheap
-// training-day rule and drops the entry if the selected days changed, so a
-// missed invalidate() can never yield a wrong Prediction (DESIGN.md §6).
+// history changes — a counter is a complete staleness signal and costs O(1)
+// where content hashing would cost O(samples). It stays in the key even
+// though every lookup also re-runs the cheap training-day rule (target_day
+// is not part of the key, and retention shifts day indices, so two equal
+// day lists can name different days): an entry is served only when it was
+// estimated under the current generation from exactly the days the rule
+// selects now (DESIGN.md §6).
+//
+// Retirement: invalidate() bumps the generation and does nothing else.
+// Every lookup builds its key from the current generation, so the
+// machine's old entries are unreachable from that moment; they are never
+// swept, they age out of the LRU, so dead entries are bounded like live
+// ones by shards × capacity_per_shard.
 //
 // Thread-safety contract: all public methods may be called concurrently.
 // Traces passed in must outlive the call and must not be mutated during it
@@ -120,19 +128,17 @@ class PredictionService {
   std::vector<std::optional<Prediction>> try_predict_batch(
       std::span<const BatchRequest> requests);
 
-  /// Declares that `machine_id`'s trace gained new days: bumps the machine's
-  /// history generation (making its old cache keys unreachable) and drops its
-  /// cached entries. Other machines' entries are untouched.
+  /// Declares that `machine_id`'s history changed: bumps the machine's
+  /// history generation, which makes its old cache keys unreachable (they
+  /// age out of the LRU). Other machines' entries are untouched.
   void invalidate(const std::string& machine_id);
 
   /// Current history generation for a machine (0 until first invalidate()).
   std::uint64_t history_generation(const std::string& machine_id) const;
 
-  /// (machine, window) answer entries currently cached, across all shards.
+  /// (machine, window) answer entries currently cached, across all shards,
+  /// including unreachable ones from retired generations.
   std::size_t size() const;
-
-  /// Drops every cache entry (generations are preserved).
-  void clear();
 
   ServiceStats stats() const;
 

@@ -40,6 +40,8 @@ namespace {
 constexpr std::size_t kShortReadBytes = 3;
 /// Per-event write cap when net.write.stall fired at accept.
 constexpr std::size_t kStallWriteBytes = 16;
+/// listen(2) backlog of the server's one listening socket.
+constexpr int kListenBacklog = 128;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw DataError("net server: " + what + ": " + std::strerror(errno));
@@ -100,13 +102,9 @@ class PredictionServer::Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Creates, binds, and registers this reactor's listening socket. With
-  /// `reuse_port` the socket is marked SO_REUSEPORT so sibling reactors can
-  /// bind the same address; a failure to set the option throws DataError
-  /// (the server falls back to hand-off mode).
-  void open_listener(std::uint16_t port, bool reuse_port);
-
-  std::uint16_t bound_port() const { return bound_port_; }
+  /// Creates, binds, and registers the server's one listening socket on
+  /// this reactor (always reactor 0); returns the bound port.
+  std::uint16_t open_listener(std::uint16_t port);
 
   /// Thread body: dispatch this reactor's loop until stop().
   void run();
@@ -116,8 +114,8 @@ class PredictionServer::Reactor {
   /// inbox nodes, and closes every owned descriptor. Idempotent.
   void shutdown();
 
-  /// Acceptor-side entry for hand-off mode: transfers a freshly accepted
-  /// connection (plus its per-accept failpoint flags) to this reactor.
+  /// Acceptor-side entry: transfers a freshly accepted connection (plus its
+  /// per-accept failpoint flags) to this reactor.
   void enqueue_adopt(int fd, bool short_reads, bool stalled_writes);
 
   ServerStats snapshot() const;
@@ -195,7 +193,6 @@ class PredictionServer::Reactor {
   /// waits this out before reclaiming the inbox.
   std::atomic<std::uint64_t> pending_tasks_{0};
   unsigned round_robin_next_ = 0;                    // accept thread only
-  std::uint16_t bound_port_ = 0;
   bool shutdown_done_ = false;
 
   std::atomic<std::uint64_t> accepted_{0};
@@ -282,22 +279,12 @@ PredictionServer::Reactor::Reactor(PredictionServer& server, unsigned index)
 
 PredictionServer::Reactor::~Reactor() { shutdown(); }
 
-void PredictionServer::Reactor::open_listener(std::uint16_t port,
-                                              bool reuse_port) {
+std::uint16_t PredictionServer::Reactor::open_listener(std::uint16_t port) {
   listen_fd_ =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) throw_errno("socket");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuse_port &&
-      ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-          0) {
-    const int saved = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    errno = saved;
-    throw_errno("setsockopt(SO_REUSEPORT)");
-  }
 
   sockaddr_in address{};
   address.sin_family = AF_INET;
@@ -311,7 +298,7 @@ void PredictionServer::Reactor::open_listener(std::uint16_t port,
   }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
              sizeof(address)) != 0 ||
-      ::listen(listen_fd_, server_.config_.backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const int saved = errno;
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -322,11 +309,11 @@ void PredictionServer::Reactor::open_listener(std::uint16_t port,
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  bound_port_ = ntohs(bound.sin_port);
 
   spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
   loop_.add(listen_fd_, EPOLLIN,
             [this](std::uint32_t events) { handle_accept(events); });
+  return ntohs(bound.sin_port);
 }
 
 void PredictionServer::Reactor::run() {
@@ -424,16 +411,14 @@ void PredictionServer::Reactor::handle_accept(std::uint32_t) {
     const bool short_reads = FGCS_FAILPOINT("net.read.short");
     const bool stalled_writes = FGCS_FAILPOINT("net.write.stall");
     server_.total_active_.fetch_add(1, std::memory_order_relaxed);
-    if (server_.accept_handoff_) {
-      const unsigned target =
-          round_robin_next_++ % static_cast<unsigned>(server_.reactors_.size());
-      if (target != index_) {
-        server_.reactors_[target]->enqueue_adopt(fd, short_reads,
-                                                 stalled_writes);
-        continue;
-      }
-    }
-    adopt(fd, short_reads, stalled_writes);
+    // Connections are dealt round-robin; at reactors=1 every target is 0.
+    const unsigned target =
+        round_robin_next_++ % static_cast<unsigned>(server_.reactors_.size());
+    if (target == index_)
+      adopt(fd, short_reads, stalled_writes);
+    else
+      server_.reactors_[target]->enqueue_adopt(fd, short_reads,
+                                               stalled_writes);
   }
 }
 
@@ -865,7 +850,6 @@ PredictionServer::PredictionServer(ServerConfig config,
                                    std::shared_ptr<PredictionService> service)
     : config_(std::move(config)), service_(std::move(service)) {
   FGCS_REQUIRE(service_ != nullptr);
-  FGCS_REQUIRE(config_.backlog >= 1);
   FGCS_REQUIRE(config_.max_connections >= 1);
   FGCS_REQUIRE_MSG(config_.reactors >= 1, "need at least one reactor");
   // The day-closed callback runs on whichever pool worker drove the
@@ -875,8 +859,8 @@ PredictionServer::PredictionServer(ServerConfig config,
   store_ = std::make_unique<TraceStore>(
       TraceStoreConfig{.retention_days = config_.ingest_retention_days,
                        .max_loaded = config_.max_loaded_traces},
-      [this](const TraceStore::DayClosedEvent& event) {
-        service_->invalidate(event.machine_id);
+      [this](const std::string& machine_id) {
+        service_->invalidate(machine_id);
       },
       std::bind_front(&load_trace, config_.trace_root));
   reactors_.reserve(config_.reactors);
@@ -893,36 +877,7 @@ unsigned PredictionServer::reactor_count() const {
 void PredictionServer::start() {
   FGCS_REQUIRE_MSG(!started_,
                    "server already started (one start/stop cycle per server)");
-
-  if (reactors_.size() == 1) {
-    // The reactors=1 special case is the original single-reactor server:
-    // one plain listener, no SO_REUSEPORT, no hand-off.
-    accept_handoff_ = false;
-    reactors_[0]->open_listener(config_.port, /*reuse_port=*/false);
-  } else if (config_.force_accept_handoff) {
-    accept_handoff_ = true;
-    reactors_[0]->open_listener(config_.port, /*reuse_port=*/false);
-  } else {
-    // Preferred sharding: every reactor binds its own SO_REUSEPORT listener
-    // on the same address and the kernel spreads connections. If the
-    // platform refuses the option, fall back to hand-off mode.
-    try {
-      reactors_[0]->open_listener(config_.port, /*reuse_port=*/true);
-      for (std::size_t i = 1; i < reactors_.size(); ++i)
-        reactors_[i]->open_listener(reactors_[0]->bound_port(),
-                                    /*reuse_port=*/true);
-      accept_handoff_ = false;
-    } catch (const DataError&) {
-      // Rebuild the reactor fleet so no half-opened listener leaks, then
-      // take the single-listener path.
-      reactors_.clear();
-      for (unsigned i = 0; i < config_.reactors; ++i)
-        reactors_.push_back(std::make_unique<Reactor>(*this, i));
-      accept_handoff_ = true;
-      reactors_[0]->open_listener(config_.port, /*reuse_port=*/false);
-    }
-  }
-  bound_port_ = reactors_[0]->bound_port();
+  bound_port_ = reactors_[0]->open_listener(config_.port);
 
   started_ = true;
   running_.store(true, std::memory_order_release);

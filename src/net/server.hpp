@@ -17,14 +17,13 @@
 // once per server from under config.trace_root, taking its key as machine
 // id — so store, prediction cache and invalidation agree on one history.
 //
-// Listener sharding: every reactor binds its own SO_REUSEPORT listening
-// socket on the same host:port, so the kernel load-balances incoming
-// connections across reactors with no shared accept lock. Where
-// SO_REUSEPORT is unavailable (or when config.force_accept_handoff is set —
-// tests use this for deterministic placement), reactor 0 owns the single
-// listening socket and hands accepted fds to reactors round-robin through
-// their lock-free MPSC inboxes (net/mpsc_queue.hpp), waking the target's
-// eventfd.
+// Listener: reactor 0 owns the server's one listening socket and deals
+// accepted fds round-robin — the ones that fall to it it adopts directly,
+// the others it hands to their reactor through that reactor's lock-free
+// MPSC inbox (net/mpsc_queue.hpp), waking the target's eventfd. Placement
+// is therefore deterministic (connection k lands on reactor k mod N), which
+// the reactor-ownership tests and multi-reactor chaos replays pin; at
+// reactors=1 every connection is adopted in place.
 //
 // Request dispatch is asynchronous: the owning reactor decodes a request
 // batch, submits trace resolution, predict_batch and response encoding to
@@ -106,18 +105,12 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read the actual one back with port().
   std::uint16_t port = 0;
-  int backlog = 128;
   /// Connections beyond this (server-wide, all reactors) are accepted and
   /// immediately closed.
   std::size_t max_connections = 256;
   /// Reactor threads. 1 (the default) reproduces the single-reactor server
-  /// exactly; N>1 shards connections across N epoll loops.
+  /// exactly; N>1 deals connections round-robin across N epoll loops.
   unsigned reactors = 1;
-  /// Forces the accept-thread hand-off path (reactor 0 accepts, connections
-  /// go to reactors round-robin) even where SO_REUSEPORT is available.
-  /// Round-robin placement is deterministic, which is what the reactor-
-  /// ownership tests and multi-reactor chaos replays pin against.
-  bool force_accept_handoff = false;
   /// When non-empty, keys the store lacks load as trace file paths that must
   /// canonicalize to under this directory; empty (the default) disables
   /// filesystem loading, so clients can only name added or streamed
@@ -186,7 +179,7 @@ class PredictionServer {
   /// continue it). Throws DataError when the store already holds that id.
   void add_trace(MachineTrace trace) { store_->adopt_trace(std::move(trace)); }
 
-  /// Binds the listener(s), spawns one thread per reactor. Throws DataError
+  /// Binds the listener, spawns one thread per reactor. Throws DataError
   /// when a socket cannot be set up.
   void start();
 
@@ -201,10 +194,6 @@ class PredictionServer {
   const std::string& host() const { return config_.host; }
 
   unsigned reactor_count() const;
-  /// True when connections are being handed off from a single accept
-  /// thread instead of sharded SO_REUSEPORT listeners (valid after
-  /// start()).
-  bool accept_handoff() const { return accept_handoff_; }
 
   const std::shared_ptr<PredictionService>& service() const {
     return service_;
@@ -279,7 +268,6 @@ class PredictionServer {
   std::vector<std::thread> threads_;
   std::atomic<std::size_t> total_active_{0};  // capacity check, all reactors
   std::uint16_t bound_port_ = 0;
-  bool accept_handoff_ = false;
   std::atomic<bool> running_{false};
   bool started_ = false;
 };

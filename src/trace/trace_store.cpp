@@ -1,5 +1,6 @@
 #include "trace/trace_store.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -131,25 +132,24 @@ void TraceStore::close_day(Machine& machine, AppendResult& result) {
   if (FGCS_FAILPOINT("ingest.rollup.fail"))
     throw RollupError("injected rollup failure (ingest.rollup.fail)");
   const MachineTrace& current = *machine.trace;
-  const bool retire = config_.retention_days > 0 &&
-                      current.day_count() >= config_.retention_days;
+  // Every day beyond the budget goes, not just one: an adopted or loaded
+  // history longer than the budget shrinks to it at its first close.
+  const std::int64_t retire =
+      config_.retention_days > 0
+          ? std::max<std::int64_t>(
+                0, current.day_count() + 1 - config_.retention_days)
+          : 0;
   MachineTrace next =
-      retire ? current.slice(1, current.day_count()) : current;
+      retire > 0 ? current.slice(retire, current.day_count()) : current;
   next.append_day(std::move(machine.buffer));
   machine.buffer = {};
   machine.buffer.reserve(next.samples_per_day());
   machine.trace = std::make_shared<const MachineTrace>(std::move(next));
-  const std::int64_t closed = machine.closed_days++;
-  std::int64_t retired = -1;
-  if (retire) retired = machine.first_day_id++;
+  ++machine.closed_days;
+  machine.first_day_id += retire;
   ++result.days_closed;
-  if (retire) ++result.days_retired;
-  if (on_day_closed_)
-    on_day_closed_(DayClosedEvent{.machine_id = machine.spec.machine_id,
-                                  .trace = machine.trace,
-                                  .first_day_id = machine.first_day_id,
-                                  .closed_day = closed,
-                                  .retired_day = retired});
+  result.days_retired += static_cast<std::uint64_t>(retire);
+  if (on_day_closed_) on_day_closed_(machine.spec.machine_id);
 }
 
 AppendResult TraceStore::append(const MachineSpec& spec,

@@ -4,12 +4,12 @@
 // *absolute sample index* (day · samples_per_day + offset since the
 // machine's epoch). The store buffers the partial current day per machine;
 // when the buffer fills it "closes" the day: a new MachineTrace is built
-// with the day appended (and, when a retention budget is set, the oldest
-// day retired — the paper's sliding N-day training history), then swapped
-// in as an immutable snapshot. Readers pin snapshots with shared_ptr, so
-// prediction batches never block behind ingestion and never observe a
-// half-rolled day; a close costs one O(history) trace copy per
-// machine-day, which at one close per day per machine is noise.
+// with the day appended (and, when a retention budget is set, every day
+// beyond it retired, oldest first — the paper's sliding N-day training
+// history), then swapped in as an immutable snapshot. Readers pin snapshots
+// with shared_ptr, so prediction batches never block behind ingestion and
+// never observe a half-rolled day; a close costs one O(history) trace copy
+// per machine-day, which at one close per day per machine is noise.
 //
 // Idempotence: appends whose indices the store already covers are counted
 // as duplicates and skipped, so a client may blindly retry a whole batch
@@ -66,9 +66,10 @@ class RollupError : public DataError {
 };
 
 struct TraceStoreConfig {
-  /// Sliding-history budget in days per machine; once a machine's trace
-  /// holds this many days, closing a new day retires the oldest one.
-  /// 0 (default) keeps all history.
+  /// Sliding-history budget in days per machine; closing a day retires the
+  /// oldest days until the trace holds at most this many (an adopted or
+  /// loaded history longer than the budget shrinks to it at its first
+  /// close). 0 (default) keeps all history.
   std::int64_t retention_days = 0;
   /// Loaded machines that have never taken an append, held at once; the
   /// least recently read is evicted to make room for a new load.
@@ -94,17 +95,10 @@ struct AppendResult {
 
 class TraceStore {
  public:
-  /// Fired once per closed day, after the snapshot swap, under the
-  /// machine's lock. `first_day_id` is the absolute id of `trace` day 0;
-  /// `retired_day` is the absolute id just retired, or -1.
-  struct DayClosedEvent {
-    const std::string& machine_id;
-    const std::shared_ptr<const MachineTrace>& trace;
-    std::int64_t first_day_id = 0;
-    std::int64_t closed_day = 0;
-    std::int64_t retired_day = -1;
-  };
-  using DayClosedCallback = std::function<void(const DayClosedEvent&)>;
+  /// Fired with the machine's id once per closed day, after the snapshot
+  /// swap, under the machine's lock.
+  using DayClosedCallback =
+      std::function<void(const std::string& machine_id)>;
   /// The history of a key the store lacks, or DataError when there is none.
   /// Runs under the store's insertion lock: must not call into the store.
   using Loader = std::function<MachineTrace(const std::string& machine_id)>;

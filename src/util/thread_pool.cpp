@@ -273,14 +273,10 @@ void ThreadPool::attach_metrics(MetricsRegistry& registry) {
 }
 
 ThreadPool& ThreadPool::default_pool() {
-  // FGCS_THREADS pins the worker count; FGCS_MAX_THREADS caps autodetection.
-  // Read once — the pool outlives any knob change.
-  static ThreadPool pool([] {
-    const unsigned detected = std::max(1u, std::thread::hardware_concurrency());
-    const unsigned capped =
-        std::min(detected, env_thread_count("FGCS_MAX_THREADS", detected));
-    return env_thread_count("FGCS_THREADS", capped);
-  }());
+  // FGCS_THREADS pins the worker count, else hardware_concurrency. Read
+  // once — the pool outlives any knob change.
+  static ThreadPool pool(env_thread_count(
+      "FGCS_THREADS", std::max(1u, std::thread::hardware_concurrency())));
   static const bool attached =
       (pool.attach_metrics(MetricsRegistry::global()), true);
   (void)attached;

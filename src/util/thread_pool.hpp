@@ -27,12 +27,11 @@
 // after in-flight chunks finish.
 //
 // Sizing: a default-constructed pool targets hardware_concurrency workers.
-// The process-wide default_pool() additionally honors two environment knobs,
+// The process-wide default_pool() additionally honors one environment knob,
 // read once at first use: FGCS_THREADS=N pins the worker count exactly
-// (useful to force parallelism on single-core CI boxes, or to pin it down),
-// and FGCS_MAX_THREADS=N caps the auto-detected count. Workers are only ever
-// started when a call actually goes parallel; purely serial programs stay
-// single-threaded.
+// (useful to force parallelism on single-core CI boxes, or to pin it down).
+// Workers are only ever started when a call actually goes parallel; purely
+// serial programs stay single-threaded.
 //
 // Observability: PoolStats snapshots tasks submitted/executed, steals, the
 // queue-depth high-water mark, and cumulative worker busy time; utilization()
@@ -123,7 +122,7 @@ class ThreadPool {
   void attach_metrics(MetricsRegistry& registry);
 
   /// The process-wide pool parallel_for runs on. Created on first use, sized
-  /// by hardware_concurrency clamped by FGCS_THREADS / FGCS_MAX_THREADS, and
+  /// by hardware_concurrency unless FGCS_THREADS pins it, and
   /// shut down cleanly at static destruction.
   static ThreadPool& default_pool();
 

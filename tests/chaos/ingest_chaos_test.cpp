@@ -43,7 +43,6 @@ class IngestChaosTest : public ChaosTest {
     config.ingest = true;
     config.ingest_retention_days = retention;
     config.reactors = reactors;
-    config.force_accept_handoff = reactors > 1;
     server_ = std::make_unique<net::PredictionServer>(config, service_);
     server_->start();
 

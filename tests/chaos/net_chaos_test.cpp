@@ -206,11 +206,11 @@ TEST_F(NetChaosTest, CombinedStormReplaysToIdenticalFailpointStats) {
 TEST_F(NetChaosTest, FourReactorStormReplaysToIdenticalPerReactorStats) {
   // The multi-reactor replay contract: the same storm against a *4-reactor*
   // server must replay byte-identically too — including the per-reactor
-  // counter split. force_accept_handoff pins connection placement to
-  // deterministic round-robin, and every failpoint is evaluated per accept
-  // (accepting thread) or per frame (owning reactor, arrival order), so a
-  // sequential driver produces one global evaluation order regardless of
-  // how many reactors race underneath.
+  // counter split. Connection placement is deterministic round-robin, and
+  // every failpoint is evaluated per accept (accepting thread) or per frame
+  // (owning reactor, arrival order), so a sequential driver produces one
+  // global evaluation order regardless of how many reactors race
+  // underneath.
   const auto storm = [] {
     Failpoints::instance().reset();
     Failpoints::instance().arm_from_spec(
@@ -221,7 +221,6 @@ TEST_F(NetChaosTest, FourReactorStormReplaysToIdenticalPerReactorStats) {
                                           test::steady_trace("m1", 8)};
     net::ServerConfig server_config;
     server_config.reactors = 4;
-    server_config.force_accept_handoff = true;
     net::PredictionServer server(server_config,
                                  std::make_shared<PredictionService>());
     for (const MachineTrace& trace : fleet) server.add_trace(trace);

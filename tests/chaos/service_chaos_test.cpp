@@ -113,32 +113,6 @@ TEST_F(ServiceChaosTest, ConcurrentPredictsUnderInvalidationStayCorrect) {
             0u);
 }
 
-TEST_F(ServiceChaosTest, InvalidationRacingInsertSkipsDeadEntry) {
-  // Forces an invalidate() to land exactly between predict()'s compute phase
-  // and its insert lock. The generation re-check must skip the insert — the
-  // entry would be filed under a dead generation key, unreachable by every
-  // future lookup — and count the skip as a stale drop. The returned
-  // prediction itself is still correct.
-  Failpoints::instance().arm_from_spec("service.insert.race=once");
-  const MachineTrace trace = steady_trace("m0", 8);
-  PredictionService service;
-  const PredictionRequest request =
-      request_at(9 * kSecondsPerHour, kSecondsPerHour);
-
-  const Prediction got = service.predict(trace, request);
-  expect_same_prediction(got,
-                         AvailabilityPredictor().predict(trace, request));
-  EXPECT_EQ(service.size(), 0u);  // insert skipped, not misfiled
-  EXPECT_GE(service.stats().stale_drops, 1u);
-  EXPECT_EQ(service.stats().invalidations, 1u);
-
-  // Trigger spent: the next predict caches normally, then hits.
-  service.predict(trace, request);
-  EXPECT_EQ(service.size(), 1u);
-  expect_same_prediction(service.predict(trace, request), got);
-  EXPECT_EQ(service.stats().hits, 1u);
-}
-
 TEST_F(ServiceChaosTest, InjectedEstimationFailureThrowsThenRecovers) {
   Failpoints::instance().arm_from_spec("service.estimate.fail=once");
   const MachineTrace trace = steady_trace("m0", 8);

@@ -116,7 +116,7 @@ if(NOT mr_first_out STREQUAL mr_second_out)
     "fgcs_chaos net scenario is not replay-stable at 4 reactors\n"
     "--- first run ---\n${mr_first_out}\n--- second run ---\n${mr_second_out}")
 endif()
-if(NOT mr_first_out MATCHES "reactors=4 mode=accept-handoff")
+if(NOT mr_first_out MATCHES "reactors=4")
   message(FATAL_ERROR
     "fgcs_chaos --reactors 4 did not report the sharded server:\n"
     "${mr_first_out}")
@@ -234,7 +234,7 @@ if(NOT ing4_first_out STREQUAL ing4_second_out)
     "fgcs_chaos ingest scenario is not replay-stable at 4 reactors\n"
     "--- first run ---\n${ing4_first_out}\n--- second run ---\n${ing4_second_out}")
 endif()
-if(NOT ing4_first_out MATCHES "reactors=4 mode=accept-handoff")
+if(NOT ing4_first_out MATCHES "reactors=4")
   message(FATAL_ERROR
     "fgcs_chaos ingest --reactors 4 did not report the sharded server:\n"
     "${ing4_first_out}")
@@ -294,7 +294,7 @@ if(NOT go4_first_out STREQUAL go4_second_out)
     "fgcs_chaos gossip scenario is not replay-stable at 4 reactors\n"
     "--- first run ---\n${go4_first_out}\n--- second run ---\n${go4_second_out}")
 endif()
-if(NOT go4_first_out MATCHES "reactors=4 mode=accept-handoff")
+if(NOT go4_first_out MATCHES "reactors=4")
   message(FATAL_ERROR
     "fgcs_chaos gossip --reactors 4 did not report the sharded server:\n"
     "${go4_first_out}")

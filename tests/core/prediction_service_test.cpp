@@ -132,7 +132,8 @@ TEST(PredictionServiceTest, InvalidateDropsExactlyThatMachine) {
   service.invalidate("a");
   EXPECT_EQ(service.history_generation("a"), 1u);
   EXPECT_EQ(service.history_generation("b"), 0u);
-  EXPECT_EQ(service.size(), 1u);  // b's entry survives
+  // Nothing is swept: a's old entry is unreachable, not gone.
+  EXPECT_EQ(service.size(), 2u);
 
   service.predict(b, request);  // still warm
   service.predict(a, request);  // recomputed under the new generation
@@ -270,6 +271,36 @@ TEST(PredictionServiceTest, LruEvictsBeyondCapacity) {
                           .window = {.start_of_day = 6 * kSecondsPerHour,
                                      .length = kSecondsPerHour}});
   EXPECT_EQ(service.stats().misses, 4u);
+}
+
+TEST(PredictionServiceTest, DeadGenerationEntryIsNeverServedAndAgesOut) {
+  // invalidate() without new days: the training days still match, so only
+  // the generation in the key keeps the old entry from being served.
+  const MachineTrace trace = flaky_trace("m1");
+  PredictionService service(
+      ServiceConfig{.shards = 1, .capacity_per_shard = 2});
+  const AvailabilityPredictor predictor(service.config().estimator);
+  const PredictionRequest morning{.target_day = 10,
+                                  .window = morning_window()};
+  const PredictionRequest evening{
+      .target_day = 10,
+      .window = {.start_of_day = 18 * kSecondsPerHour,
+                 .length = kSecondsPerHour}};
+  service.predict(trace, morning);
+  service.invalidate("m1");
+  expect_identical(predictor.predict(trace, morning),
+                   service.predict(trace, morning));
+  EXPECT_EQ(service.stats().hits, 0u);
+  EXPECT_EQ(service.stats().misses, 2u);
+  EXPECT_EQ(service.size(), 2u);  // the dead entry plus its replacement
+
+  // The dead entry is the least recently used, so capacity evicts it.
+  service.predict(trace, evening);
+  EXPECT_EQ(service.size(), 2u);
+  EXPECT_EQ(service.stats().evictions, 1u);
+  service.predict(trace, morning);  // the live entry survived
+  EXPECT_EQ(service.stats().hits, 1u);
+  EXPECT_EQ(service.stats().misses, 3u);
 }
 
 TEST(PredictionServiceTest, RejectsNullTraceInBatch) {

@@ -38,12 +38,12 @@ GossipMessage sync_of(const std::string& sender,
   return message;
 }
 
-const MemberState& record(const GossipAgent& agent, const std::string& id) {
+/// By value: members() returns a temporary vector.
+MemberState record(const GossipAgent& agent, const std::string& id) {
   for (const MemberState& m : agent.members())
     if (m.node_id == id) return m;
   ADD_FAILURE() << "no record for " << id;
-  static MemberState none;
-  return none;
+  return {};
 }
 
 TEST(GossipAgentTest, HigherIncarnationWinsRegardlessOfHeartbeat) {

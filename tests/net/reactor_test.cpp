@@ -3,11 +3,12 @@
 //  - ServerStats is an *aggregation*: stats() must equal the field-wise sum
 //    of reactor_stats() — there is no separate global counter set to drift
 //    or double count (the ISSUE-6 stats fix).
-//  - Strict ownership: in hand-off mode connections are placed round-robin,
-//    so with sequential connects the per-reactor counters prove every
-//    connection's frames were serviced by exactly the reactor that owns it.
-//  - SO_REUSEPORT mode serves every connection correctly regardless of how
-//    the kernel spreads them.
+//  - Placement: reactor 0 owns the only listener and deals connections
+//    round-robin under the default config, so with sequential connects the
+//    per-reactor counters prove every connection's frames were serviced by
+//    exactly the reactor that owns it (strict ownership).
+//  - Every reactor serves its connections bit-identically to the
+//    in-process predictor.
 //  - A connection that pipelines requests gets its responses strictly in
 //    request order (the per-connection busy/pending queue).
 //
@@ -190,15 +191,42 @@ TEST(Reactor, StatsAggregateEqualsPerReactorSum) {
   EXPECT_EQ(total.errors, 6u);
 }
 
+TEST(Reactor, DefaultConfigDealsConnectionsRoundRobin) {
+  const std::vector<MachineTrace> fleet = small_fleet();
+  ServerConfig config;
+  config.reactors = 4;  // nothing else set: the default placement
+  PredictionServer server(config, std::make_shared<PredictionService>());
+  for (const MachineTrace& trace : fleet) server.add_trace(trace);
+  server.start();
+
+  // Eight sequential connections held open, two requests each; a connection
+  // has been adopted by its owner once it has answered.
+  std::vector<std::unique_ptr<PredictionClient>> clients;
+  for (int c = 0; c < 8; ++c) {
+    ClientConfig client_config;
+    client_config.port = server.port();
+    clients.push_back(std::make_unique<PredictionClient>(client_config));
+    (void)clients.back()->predict(item_for(fleet[0], 9));
+    (void)clients.back()->predict(item_for(fleet[1], 14));
+  }
+  const std::vector<ServerStats> open = server.reactor_stats();
+  ASSERT_EQ(open.size(), 4u);
+  EXPECT_EQ(open[0].accepted, 8u);  // the one listener
+  for (std::size_t i = 0; i < open.size(); ++i) {
+    EXPECT_EQ(open[i].active, 2u) << "reactor " << i;
+    EXPECT_EQ(open[i].frames, 4u) << "reactor " << i;
+  }
+  clients.clear();
+  server.stop();
+}
+
 TEST(Reactor, HandoffPlacesConnectionsRoundRobinWithStrictOwnership) {
   const std::vector<MachineTrace> fleet = small_fleet();
   ServerConfig config;
   config.reactors = 4;
-  config.force_accept_handoff = true;
   PredictionServer server(config, std::make_shared<PredictionService>());
   for (const MachineTrace& trace : fleet) server.add_trace(trace);
   server.start();
-  EXPECT_TRUE(server.accept_handoff());
 
   // Eight sequential connections, two requests each, all held open so no fd
   // is reused: round-robin must deal exactly two connections per reactor.
@@ -215,7 +243,7 @@ TEST(Reactor, HandoffPlacesConnectionsRoundRobinWithStrictOwnership) {
 
   const std::vector<ServerStats> shards = server.reactor_stats();
   ASSERT_EQ(shards.size(), 4u);
-  // Only reactor 0 listens in hand-off mode.
+  // Only reactor 0 listens.
   EXPECT_EQ(shards[0].accepted, 8u);
   for (std::size_t i = 1; i < shards.size(); ++i)
     EXPECT_EQ(shards[i].accepted, 0u) << "reactor " << i;
@@ -230,16 +258,15 @@ TEST(Reactor, HandoffPlacesConnectionsRoundRobinWithStrictOwnership) {
   }
 }
 
-TEST(Reactor, ReusePortShardsServeEveryConnection) {
+TEST(Reactor, TwoReactorsServeEveryConnectionBitIdentical) {
   const std::vector<MachineTrace> fleet = small_fleet();
   ServerConfig config;
   config.reactors = 2;
   PredictionServer server(config, std::make_shared<PredictionService>());
   for (const MachineTrace& trace : fleet) server.add_trace(trace);
   server.start();
-  // Kernel connection placement is not deterministic, so assert totals and
-  // correctness, not the per-reactor split.
-  EXPECT_FALSE(server.accept_handoff());
+  // Ten connections alternate between the two reactors; each must answer
+  // with the in-process predictor's bits.
 
   const AvailabilityPredictor reference;
   const WireRequestItem item = item_for(fleet[0], 9);

@@ -211,8 +211,7 @@ TEST(NetTraceSource, FourReactorsLoadEachDistinctKeyOnce) {
   }
 
   ServerConfig config;
-  config.reactors = 4;
-  config.force_accept_handoff = true;  // eight connections, two per reactor
+  config.reactors = 4;  // eight connections, two per reactor
   config.trace_root = root.string();
   PredictionServer server(config, std::make_shared<PredictionService>());
   server.start();

@@ -1,7 +1,7 @@
 // TraceStore: the ingest path's day-boundary rollup. Pins the append
 // contract (idempotent duplicates, gap rejection, spec pinning), the
 // copy-on-rollup snapshot semantics, retention-based retirement, trace
-// adoption, the DayClosedEvent ordering, the loader (one load per key, the
+// adoption, day-close bookkeeping order, the loader (one load per key, the
 // key as machine id, LRU eviction of never-appended loads, no append lost
 // to an eviction), and crash-consistency under the ingest.rollup.fail
 // failpoint (a failed close must leave the machine retryable, not wedged).
@@ -160,33 +160,63 @@ TEST(TraceStoreTest, SnapshotsAreImmutableUnderLaterAppends) {
 }
 
 TEST(TraceStoreTest, DayClosedEventsCarryOrderedBookkeeping) {
-  struct Seen {
-    std::int64_t closed, retired, first, day_count;
-  };
-  std::vector<Seen> events;
+  std::vector<std::string> events;
   TraceStore store(TraceStoreConfig{.retention_days = 2},
-                   [&](const TraceStore::DayClosedEvent& event) {
-                     events.push_back({event.closed_day, event.retired_day,
-                                       event.first_day_id,
-                                       event.trace->day_count()});
+                   [&](const std::string& machine_id) {
+                     events.push_back(machine_id);
                    });
-  std::vector<ResourceSample> batch;
-  for (const int load : {5, 50, 95})
-    for (const ResourceSample& s : day_of(load)) batch.push_back(s);
-  store.append(spec(), 0, batch);
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].closed, 0);
-  EXPECT_EQ(events[0].retired, -1);
-  EXPECT_EQ(events[0].first, 0);
-  EXPECT_EQ(events[0].day_count, 1);
-  EXPECT_EQ(events[1].closed, 1);
-  EXPECT_EQ(events[1].retired, -1);
-  EXPECT_EQ(events[1].day_count, 2);
-  // Third close hits retention: day 0 retires in the same event.
-  EXPECT_EQ(events[2].closed, 2);
-  EXPECT_EQ(events[2].retired, 0);
-  EXPECT_EQ(events[2].first, 1);
-  EXPECT_EQ(events[2].day_count, 2);
+  struct Seen {
+    std::uint64_t closed, retired;
+    std::int64_t first, day_count;
+  };
+  std::vector<Seen> seen;
+  std::uint64_t index = 0;
+  for (const int load : {5, 50, 95}) {
+    const AppendResult result = store.append(spec(), index, day_of(load));
+    index = result.next_index;
+    seen.push_back({result.days_closed, result.days_retired,
+                    store.first_day_id("m0"),
+                    store.snapshot("m0")->day_count()});
+  }
+  // One callback per closed day, naming the machine.
+  EXPECT_EQ(events, std::vector<std::string>(3, "m0"));
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].closed, 1u);
+  EXPECT_EQ(seen[0].retired, 0u);
+  EXPECT_EQ(seen[0].first, 0);
+  EXPECT_EQ(seen[0].day_count, 1);
+  EXPECT_EQ(seen[1].closed, 1u);
+  EXPECT_EQ(seen[1].retired, 0u);
+  EXPECT_EQ(seen[1].day_count, 2);
+  // Third close hits retention: day 0 retires in the same append.
+  EXPECT_EQ(seen[2].closed, 1u);
+  EXPECT_EQ(seen[2].retired, 1u);
+  EXPECT_EQ(seen[2].first, 1);
+  EXPECT_EQ(seen[2].day_count, 2);
+}
+
+TEST(TraceStoreTest, FirstCloseShrinksALongerAdoptedHistoryToTheBudget) {
+  // A 20-day history under a 14-day budget: the first close retires every
+  // day beyond the budget, not just one.
+  int events = 0;
+  TraceStore store(TraceStoreConfig{.retention_days = 14},
+                   [&](const std::string&) { ++events; });
+  MachineTrace trace("m0", Calendar(2), kPeriod, 512);
+  for (int d = 0; d < 20; ++d) trace.append_day(day_of(d));
+  store.adopt_trace(trace);
+  const AppendResult result = store.append(spec(), 20 * 24, day_of(99));
+  EXPECT_EQ(result.days_closed, 1u);
+  EXPECT_EQ(result.days_retired, 7u);  // days 0..6
+  EXPECT_EQ(events, 1);
+  const std::shared_ptr<const MachineTrace> snap = store.snapshot("m0");
+  ASSERT_EQ(snap->day_count(), 14);
+  EXPECT_EQ(store.first_day_id("m0"), 7);
+  EXPECT_EQ(snap->at(0, 0).host_load_pct, 7);
+  EXPECT_EQ(snap->at(13, 0).host_load_pct, 99);
+  EXPECT_EQ(store.next_index("m0"), 21u * 24u);
+  // The next close is back to one in, one out.
+  EXPECT_EQ(store.append(spec(), 21 * 24, day_of(98)).days_retired, 1u);
+  EXPECT_EQ(store.first_day_id("m0"), 8);
 }
 
 TEST(TraceStoreTest, AdoptedTraceContinuesSeamlessly) {

@@ -194,18 +194,16 @@ int run_net(std::uint64_t seed, int machines, int days, int jobs,
       generate_fleet(params, seed, machines, days, "chaos");
 
   net::ServerConfig server_config;
-  server_config.reactors = reactors;
-  // Hand-off placement is deterministic round-robin; with a sequential
+  // Connection placement is deterministic round-robin; with a sequential
   // client that keeps the whole report — including the per-reactor counter
   // split printed below — byte-identical run to run.
-  server_config.force_accept_handoff = reactors > 1;
+  server_config.reactors = reactors;
   net::PredictionServer server(server_config,
                                std::make_shared<PredictionService>());
   for (const MachineTrace& trace : traces) server.add_trace(trace);
   server.start();
   if (reactors > 1)
-    std::printf("reactors=%u mode=%s\n", server.reactor_count(),
-                server.accept_handoff() ? "accept-handoff" : "reuseport");
+    std::printf("reactors=%u\n", server.reactor_count());
 
   net::ClientConfig client_config;
   client_config.port = server.port();
@@ -308,14 +306,12 @@ int run_ingest(std::uint64_t seed, int machines, int days, int jobs,
 
   net::ServerConfig server_config;
   server_config.reactors = reactors;
-  server_config.force_accept_handoff = reactors > 1;
   server_config.ingest = true;
   net::PredictionServer server(server_config,
                                std::make_shared<PredictionService>());
   server.start();
   if (reactors > 1)
-    std::printf("reactors=%u mode=%s\n", server.reactor_count(),
-                server.accept_handoff() ? "accept-handoff" : "reuseport");
+    std::printf("reactors=%u\n", server.reactor_count());
 
   net::ClientConfig client_config;
   client_config.port = server.port();
@@ -522,7 +518,6 @@ int run_gossip(std::uint64_t seed, int machines, int days, int jobs,
   for (int i = 0; i < kNodes; ++i) {
     net::ServerConfig server_config;
     server_config.reactors = reactors;
-    server_config.force_accept_handoff = reactors > 1;
     server_config.node_id = node_id(i);
     servers.push_back(std::make_unique<net::PredictionServer>(
         server_config, std::make_shared<PredictionService>()));
@@ -533,8 +528,7 @@ int run_gossip(std::uint64_t seed, int machines, int days, int jobs,
     servers.back()->start();
   }
   if (reactors > 1)
-    std::printf("reactors=%u mode=%s\n", servers[0]->reactor_count(),
-                servers[0]->accept_handoff() ? "accept-handoff" : "reuseport");
+    std::printf("reactors=%u\n", servers[0]->reactor_count());
 
   std::vector<RingMember> members;
   for (int i = 0; i < kNodes; ++i)

@@ -138,10 +138,8 @@ int main_checked(int argc, char** argv) {
     for (const MachineTrace& trace : fleet) server->add_trace(trace);
     server->start();
     target_port = server->port();
-    std::printf("fgcs_loadgen: selfserve %u reactor(s) (%s) on %s:%u\n",
-                server->reactor_count(),
-                server->accept_handoff() ? "accept-handoff" : "SO_REUSEPORT",
-                server->host().c_str(), target_port);
+    std::printf("fgcs_loadgen: selfserve %u reactor(s) on %s:%u\n",
+                server->reactor_count(), server->host().c_str(), target_port);
   }
 
   const net::LoadgenResult result =

@@ -99,8 +99,17 @@ std::vector<Prediction> PredictionClient::predict_batch(
     std::span<const WireRequestItem> items) {
   ++stats_.batches;
   const std::string what = "batch of " + std::to_string(items.size());
-  return with_retries<std::vector<Prediction>>(
-      what.c_str(), [&] { return attempt_once(items); });
+  return with_retries<std::vector<Prediction>>(what.c_str(), [&] {
+    const Frame frame = round_trip(
+        FrameType::kRequest, [&] { return encode_request(items); },
+        FrameType::kResponse, "request");
+    std::vector<Prediction> results = decode_response(frame.payload);
+    if (results.size() != items.size())
+      throw DataError("net client: response carries " +
+                      std::to_string(results.size()) + " predictions for " +
+                      std::to_string(items.size()) + " requests");
+    return results;
+  });
 }
 
 WireAppendAck PredictionClient::append_samples(
@@ -108,115 +117,51 @@ WireAppendAck PredictionClient::append_samples(
   ++stats_.appends;
   const std::string what =
       "append of " + std::to_string(request.samples.size()) + " samples";
-  return with_retries<WireAppendAck>(
-      what.c_str(), [&] { return attempt_append_once(request); });
-}
-
-std::vector<Prediction> PredictionClient::attempt_once(
-    std::span<const WireRequestItem> items) {
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(config_.request_timeout));
-  ensure_connected();
-  send_all(encode_frame(FrameType::kRequest, encode_request(items)), deadline);
-  const Frame frame = read_frame(deadline);
-  switch (frame.type) {
-    case FrameType::kResponse: {
-      std::vector<Prediction> results = decode_response(frame.payload);
-      if (results.size() != items.size())
-        throw DataError("net client: response carries " +
-                        std::to_string(results.size()) + " predictions for " +
-                        std::to_string(items.size()) + " requests");
-      return results;
-    }
-    case FrameType::kError: {
-      ++stats_.server_errors;
-      const WireError error = decode_error(frame.payload);
-      if (!error.retryable)
-        throw RemoteError("net client: server rejected request: " +
-                          error.message);
-      throw DataError("net client: server error: " + error.message);
-    }
-    case FrameType::kWrongShard:
-      ++stats_.wrong_shards;
-      throw WrongShardError(decode_wrong_shard(frame.payload));
-    case FrameType::kRequest:
-    case FrameType::kAppendSamples:
-    case FrameType::kAppendAck:
-    case FrameType::kGossipSync:
-    case FrameType::kGossipAck:
-      break;
-  }
-  throw DataError("net client: unexpected frame type from server");
-}
-
-WireAppendAck PredictionClient::attempt_append_once(
-    const WireAppendRequest& request) {
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(config_.request_timeout));
-  ensure_connected();
-  send_all(encode_frame(FrameType::kAppendSamples, encode_append(request)),
-           deadline);
-  const Frame frame = read_frame(deadline);
-  switch (frame.type) {
-    case FrameType::kAppendAck:
-      return decode_append_ack(frame.payload);
-    case FrameType::kError: {
-      ++stats_.server_errors;
-      const WireError error = decode_error(frame.payload);
-      if (!error.retryable)
-        throw RemoteError("net client: server rejected append: " +
-                          error.message);
-      // Retryable without a transport fault (injected drop, rollup
-      // failure): with_retries still closes and reconnects, which the
-      // append's idempotence makes safe.
-      throw DataError("net client: server error: " + error.message);
-    }
-    case FrameType::kRequest:
-    case FrameType::kResponse:
-    case FrameType::kAppendSamples:
-    case FrameType::kGossipSync:
-    case FrameType::kGossipAck:
-    case FrameType::kWrongShard:
-      break;
-  }
-  throw DataError("net client: unexpected frame type from server");
+  // A retryable rejection (injected drop, rollup failure) still closes and
+  // reconnects in with_retries, which the append's idempotence makes safe.
+  return with_retries<WireAppendAck>(what.c_str(), [&] {
+    return decode_append_ack(
+        round_trip(
+            FrameType::kAppendSamples, [&] { return encode_append(request); },
+            FrameType::kAppendAck, "append")
+            .payload);
+  });
 }
 
 GossipMessage PredictionClient::gossip_sync(const GossipMessage& sync) {
   ++stats_.gossips;
   const std::string what =
       "gossip sync of " + std::to_string(sync.members.size()) + " members";
-  return with_retries<GossipMessage>(
-      what.c_str(), [&] { return attempt_gossip_once(sync); });
+  return with_retries<GossipMessage>(what.c_str(), [&] {
+    return decode_gossip(
+        round_trip(
+            FrameType::kGossipSync, [&] { return encode_gossip(sync); },
+            FrameType::kGossipAck, "gossip")
+            .payload);
+  });
 }
 
-GossipMessage PredictionClient::attempt_gossip_once(const GossipMessage& sync) {
+template <typename Encode>
+Frame PredictionClient::round_trip(FrameType type, Encode&& encode,
+                                   FrameType expected, const char* what) {
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(config_.request_timeout));
   ensure_connected();
-  send_all(encode_frame(FrameType::kGossipSync, encode_gossip(sync)), deadline);
-  const Frame frame = read_frame(deadline);
-  switch (frame.type) {
-    case FrameType::kGossipAck:
-      return decode_gossip(frame.payload);
-    case FrameType::kError: {
-      ++stats_.server_errors;
-      const WireError error = decode_error(frame.payload);
-      if (!error.retryable)
-        throw RemoteError("net client: server rejected gossip: " +
-                          error.message);
-      throw DataError("net client: server error: " + error.message);
-    }
-    case FrameType::kRequest:
-    case FrameType::kResponse:
-    case FrameType::kAppendSamples:
-    case FrameType::kAppendAck:
-    case FrameType::kGossipSync:
-    case FrameType::kWrongShard:
-      break;
+  send_all(encode_frame(type, encode()), deadline);
+  Frame frame = read_frame(deadline);
+  if (frame.type == expected) return frame;
+  if (frame.type == FrameType::kError) {
+    ++stats_.server_errors;
+    const WireError error = decode_error(frame.payload);
+    if (!error.retryable)
+      throw RemoteError(std::string("net client: server rejected ") + what +
+                        ": " + error.message);
+    throw DataError("net client: server error: " + error.message);
+  }
+  if (frame.type == FrameType::kWrongShard) {
+    ++stats_.wrong_shards;
+    throw WrongShardError(decode_wrong_shard(frame.payload));
   }
   throw DataError("net client: unexpected frame type from server");
 }

@@ -139,10 +139,14 @@ class PredictionClient {
   const ClientConfig& config() const { return config_; }
 
  private:
-  std::vector<Prediction> attempt_once(std::span<const WireRequestItem> items);
-  WireAppendAck attempt_append_once(const WireAppendRequest& request);
-  GossipMessage attempt_gossip_once(const GossipMessage& sync);
-  /// Shared retry/backoff loop behind predict_batch and append_samples.
+  /// One attempt: connect if needed, send `encode()` as a `type` frame and
+  /// read the answer. Returns it when it is an `expected` frame; a kError
+  /// answer throws RemoteError (non-retryable) or DataError, and a
+  /// kWrongShard answer throws WrongShardError.
+  template <typename Encode>
+  Frame round_trip(FrameType type, Encode&& encode, FrameType expected,
+                   const char* what);
+  /// Shared retry/backoff loop behind every round trip.
   template <typename Result, typename Attempt>
   Result with_retries(const char* what, Attempt&& attempt);
   void ensure_connected();

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -55,9 +56,21 @@ std::string ArgParser::get_or(const std::string& name,
 namespace {
 std::int64_t to_int(const std::string& name, const std::string& text) {
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(text.c_str(), &end, 10);
   FGCS_REQUIRE_MSG(end != nullptr && *end == '\0' && !text.empty(),
                    "option --" + name + " expects an integer, got '" + text + "'");
+  FGCS_REQUIRE_MSG(errno != ERANGE,
+                   "option --" + name + " is out of range: '" + text + "'");
+  return value;
+}
+
+std::int64_t in_range(const std::string& name, std::int64_t value,
+                      std::int64_t lo, std::int64_t hi) {
+  FGCS_REQUIRE_MSG(lo <= value && value <= hi,
+                   "option --" + name + " must be in [" + std::to_string(lo) +
+                       ", " + std::to_string(hi) + "], got " +
+                       std::to_string(value));
   return value;
 }
 
@@ -79,6 +92,17 @@ std::int64_t ArgParser::get_int_or(const std::string& name,
   consumed_.insert(name);
   const auto it = values_.find(name);
   return it == values_.end() ? fallback : to_int(name, it->second);
+}
+
+std::int64_t ArgParser::get_int(const std::string& name, std::int64_t lo,
+                              std::int64_t hi) const {
+  return in_range(name, get_int(name), lo, hi);
+}
+
+std::int64_t ArgParser::get_int_or(const std::string& name,
+                                   std::int64_t fallback, std::int64_t lo,
+                                   std::int64_t hi) const {
+  return in_range(name, get_int_or(name, fallback), lo, hi);
 }
 
 double ArgParser::get_double(const std::string& name) const {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -30,6 +31,15 @@ class ArgParser {
   std::string get_or(const std::string& name, std::string fallback) const;
   std::int64_t get_int(const std::string& name) const;
   std::int64_t get_int_or(const std::string& name, std::int64_t fallback) const;
+  /// Bounded forms: throw PreconditionError naming the option when the value
+  /// lies outside [lo, hi]. Use them wherever the value is narrowed to an
+  /// unsigned, port-sized or size_t field.
+  std::int64_t get_int(
+      const std::string& name, std::int64_t lo,
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
+  std::int64_t get_int_or(
+      const std::string& name, std::int64_t fallback, std::int64_t lo,
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
   double get_double(const std::string& name) const;
   double get_double_or(const std::string& name, double fallback) const;
 

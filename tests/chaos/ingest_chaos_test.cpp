@@ -4,8 +4,9 @@
 // whole-frame retries must converge, the server's rolled-up history must end
 // byte-equal to the source trace, the cache generation must equal the days
 // closed (no double-bumps from retried closes), served predictions over the
-// streamed history stay bit-identical — and identical storms replay to
-// identical FailpointStats.
+// streamed history stay bit-identical. That identical storms replay to
+// identical reports is the chaos_replay_ingest* ctest rows' gate, across
+// processes.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "chaos_support.hpp"
@@ -221,36 +221,6 @@ TEST_F(IngestChaosTest, MultiReactorStormKeepsPerReactorAccounting) {
   EXPECT_EQ(total.days_closed, 3u * 5u);
   EXPECT_EQ(total.append_samples,
             3u * 5u * fleet_.front().samples_per_day());
-}
-
-TEST_F(IngestChaosTest, IdenticalStormsReplayToIdenticalStats) {
-  // The replay contract behind `fgcs_chaos --scenario ingest`: same spec,
-  // same stream → equal FailpointStats and equal ack bookkeeping, run after
-  // run. Both injection sites are per-frame/per-close, never per syscall.
-  using Totals = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
-                            std::uint64_t>;
-  const auto run = [this]() -> Totals {
-    Failpoints::instance().reset();
-    Failpoints::instance().arm_from_spec(
-        "ingest.append.drop=prob:0.4:9;ingest.rollup.fail=every:5");
-    fleet_.clear();
-    start(/*machines=*/2, /*days=*/4);
-    net::WireAppendAck totals;
-    for (const MachineTrace& trace : fleet_) {
-      const net::WireAppendAck one = stream(trace, 500);
-      totals.accepted += one.accepted;
-      totals.duplicates += one.duplicates;
-      totals.days_closed += one.days_closed;
-    }
-    const FailpointStats stats = Failpoints::instance().stats();
-    const std::uint64_t fires = stats.total_fires();
-    TearDown();
-    return {totals.accepted, totals.duplicates, totals.days_closed, fires};
-  };
-  const Totals first = run();
-  const Totals second = run();
-  EXPECT_EQ(first, second);
-  EXPECT_GT(std::get<3>(first), 0u);
 }
 
 }  // namespace

@@ -88,29 +88,6 @@ TEST_F(ReplicationChaosTest, ReplicationBeatsSinglePlacementUnderChurn) {
   EXPECT_GT(replicated_outcome.total_cpu_spent, 0.0);
 }
 
-TEST_F(ReplicationChaosTest, ChurnScenarioIsBitReproducible) {
-  const GuestJobSpec job{.job_id = "j", .cpu_seconds = 3600, .mem_mb = 64};
-  const SimTime submit = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
-  Fleet fleet(3);
-
-  auto run = [&] {
-    Failpoints::instance().reset();
-    Failpoints::instance().arm_from_spec(kChurnSpec);
-    const ReplicatingScheduler scheduler(fleet.registry, fleet.service, 3);
-    return std::make_pair(
-        scheduler.run_job(job, submit, submit + 6 * kSecondsPerHour),
-        Failpoints::instance().stats());
-  };
-  const auto first = run();
-  const auto second = run();
-  EXPECT_EQ(first.second, second.second);
-  EXPECT_EQ(first.first.completed, second.first.completed);
-  EXPECT_EQ(first.first.finish_time, second.first.finish_time);
-  EXPECT_EQ(first.first.winning_machine, second.first.winning_machine);
-  EXPECT_EQ(first.first.replicas_failed, second.first.replicas_failed);
-  EXPECT_EQ(first.first.total_cpu_spent, second.first.total_cpu_spent);
-}
-
 TEST_F(ReplicationChaosTest, SurvivesInjectedReplicaLoss) {
   Failpoints::instance().arm_from_spec("replication.replica.lost=once");
   Fleet fleet(2);
@@ -202,49 +179,6 @@ TEST_F(ReplicationChaosTest, PlannerMeetsTargetOrDegradesUnderStorm) {
   // 4 jobs x 4 probes = 16 evaluations; every:3 fires on 3,6,9,12,15.
   EXPECT_EQ(
       Failpoints::instance().stats().find("service.estimate.fail")->fires, 5u);
-}
-
-TEST_F(ReplicationChaosTest, PlannerStormIsBitReproducible) {
-  const GuestJobSpec job{.job_id = "j", .cpu_seconds = 1800, .mem_mb = 64};
-  const SimTime submit = 7 * kSecondsPerDay + 9 * kSecondsPerHour;
-  PlannerConfig planner;
-  planner.target_availability = 0.95;
-  planner.max_replicas = 3;
-  planner.fallback_replicas = 2;
-
-  auto run = [&] {
-    Fleet fleet(4);  // fresh service: identical cold-cache sequence
-    Failpoints::instance().reset();
-    Failpoints::instance().arm_from_spec(kPlannerStormSpec);
-    const ReplicatingScheduler scheduler(fleet.registry, fleet.service,
-                                         planner);
-    std::vector<ReplicatedOutcome> outcomes;
-    for (int j = 0; j < 3; ++j)
-      outcomes.push_back(
-          scheduler.run_job(job, submit, submit + 6 * kSecondsPerHour));
-    return std::make_pair(std::move(outcomes),
-                          Failpoints::instance().stats());
-  };
-  const auto first = run();
-  const auto second = run();
-  EXPECT_EQ(first.second, second.second);  // exact failpoint activity
-  ASSERT_EQ(first.first.size(), second.first.size());
-  for (std::size_t j = 0; j < first.first.size(); ++j) {
-    const ReplicatedOutcome& a = first.first[j];
-    const ReplicatedOutcome& b = second.first[j];
-    EXPECT_EQ(a.completed, b.completed) << j;
-    EXPECT_EQ(a.winning_machine, b.winning_machine) << j;
-    EXPECT_EQ(a.replicas_started, b.replicas_started) << j;
-    EXPECT_EQ(a.replicas_failed, b.replicas_failed) << j;
-    ASSERT_TRUE(a.plan.has_value() && b.plan.has_value()) << j;
-    EXPECT_EQ(a.plan->feasible, b.plan->feasible) << j;
-    EXPECT_EQ(a.plan->achieved_availability, b.plan->achieved_availability)
-        << j;
-    ASSERT_EQ(a.plan->replicas.size(), b.plan->replicas.size()) << j;
-    for (std::size_t r = 0; r < a.plan->replicas.size(); ++r)
-      EXPECT_EQ(a.plan->replicas[r].machine_id, b.plan->replicas[r].machine_id)
-          << j << "/" << r;
-  }
 }
 
 TEST_F(ReplicationChaosTest, AllProbeFailuresYieldReportedEmptyFallback) {

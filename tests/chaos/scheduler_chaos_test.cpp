@@ -69,17 +69,6 @@ TEST_F(SchedulerChaosTest, CompletesUnderThirtyPercentRevocation) {
   EXPECT_EQ(result.outcome.attempts, static_cast<int>(revoke->fires) + 1);
 }
 
-TEST_F(SchedulerChaosTest, RevocationScenarioIsBitReproducible) {
-  const ScenarioResult first = run_revocation_scenario();
-  const ScenarioResult second = run_revocation_scenario();
-  EXPECT_EQ(first.stats, second.stats);
-  EXPECT_EQ(first.outcome.completed, second.outcome.completed);
-  EXPECT_EQ(first.outcome.attempts, second.outcome.attempts);
-  EXPECT_EQ(first.outcome.failures, second.outcome.failures);
-  EXPECT_EQ(first.outcome.finish_time, second.outcome.finish_time);
-  EXPECT_EQ(first.outcome.machines_used, second.outcome.machines_used);
-}
-
 TEST_F(SchedulerChaosTest, CompletesUnderInjectedContention) {
   const auto service = std::make_shared<PredictionService>();
   Failpoints::instance().arm_from_spec(

@@ -158,31 +158,5 @@ TEST_F(ServiceChaosTest, LatencyInjectionDelaysButDoesNotCorrupt) {
       Failpoints::instance().stats().find("service.estimate.slow")->fires, 2u);
 }
 
-TEST_F(ServiceChaosTest, InvalidationStormIsDeterministic) {
-  // Same spec + same single-threaded call sequence → identical stats and
-  // identical service counters, run after run.
-  const MachineTrace trace = test::flaky_trace("m0", 8);
-  auto run = [&trace] {
-    Failpoints::instance().reset();
-    Failpoints::instance().arm_from_spec(
-        "service.cache.invalidate=prob:0.4:2024");
-    PredictionService service;
-    double sum = 0.0;
-    for (int round = 0; round < 30; ++round)
-      sum += service
-                 .predict(trace, request_at((8 + round % 6) * kSecondsPerHour,
-                                            kSecondsPerHour))
-                 .temporal_reliability;
-    return std::make_tuple(sum, Failpoints::instance().stats(),
-                           service.stats().invalidations);
-  };
-  const auto first = run();
-  const auto second = run();
-  EXPECT_EQ(std::get<0>(first), std::get<0>(second));
-  EXPECT_EQ(std::get<1>(first), std::get<1>(second));
-  EXPECT_EQ(std::get<2>(first), std::get<2>(second));
-  EXPECT_GT(std::get<2>(first), 0u);
-}
-
 }  // namespace
 }  // namespace fgcs

@@ -48,6 +48,38 @@ TEST(ArgParserTest, NumericValidation) {
   EXPECT_DOUBLE_EQ(args.get_double("x"), 3.5);
 }
 
+TEST(ArgParserTest, BoundedReadsRejectNegativeAndOverRangeValues) {
+  const ArgParser args = parse(
+      {"prog", "--reactors", "-1", "--port", "70000", "--ops", "-5"});
+  // Unbounded, these narrow silently: 4294967295 reactors, port 4464.
+  EXPECT_THROW(args.get_int_or("reactors", 1, 1, 256), PreconditionError);
+  EXPECT_THROW(args.get_int_or("port", 0, 0, 65535), PreconditionError);
+  EXPECT_THROW(args.get_int("port", 1, 65535), PreconditionError);
+  EXPECT_THROW(args.get_int_or("ops", 10, 0, 1000), PreconditionError);
+  // strtoll saturates on overflow; that must not pass as INT64_MAX.
+  const ArgParser huge = parse({"prog", "--seed", "99999999999999999999"});
+  EXPECT_THROW(huge.get_int_or("seed", 1), PreconditionError);
+  try {
+    args.get_int_or("port", 0, 0, 65535);
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("--port"), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("70000"), std::string::npos);
+  }
+}
+
+TEST(ArgParserTest, BoundedReadsAcceptBoundariesAndFallbacks) {
+  const ArgParser args = parse({"prog", "--lo", "0", "--hi", "65535",
+                                "--one", "1", "--max", "256"});
+  EXPECT_EQ(args.get_int_or("lo", 7, 0, 65535), 0);
+  EXPECT_EQ(args.get_int_or("hi", 7, 0, 65535), 65535);
+  EXPECT_EQ(args.get_int("one", 1, 256), 1);
+  EXPECT_EQ(args.get_int_or("max", 1, 1, 256), 256);
+  EXPECT_EQ(args.get_int_or("absent", 7, 0, 65535), 7);
+  EXPECT_THROW(args.get_int("missing", 0, 1), PreconditionError);
+  EXPECT_NO_THROW(args.check_all_consumed());
+}
+
 TEST(ArgParserTest, ValueOptionAtEndWithoutValueThrows) {
   std::vector<const char*> argv{"prog", "--dangling"};
   EXPECT_THROW(ArgParser(2, argv.data()), PreconditionError);

@@ -10,8 +10,12 @@
 // --jobs guest jobs, and prints the outcomes followed by the exact failpoint
 // activity (FailpointStats). Same flags → byte-identical output, which makes
 // the tool usable both for debugging degraded modes and as a regression
-// oracle in scripts.
+// oracle in scripts. It is the only place a replayed scenario is written:
+// each row of the fgcs_chaos_replay table in tests/CMakeLists.txt runs one
+// flag set twice, in separate processes, and diffs the bytes.
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,16 +36,21 @@ struct ScenarioSetup {
   std::shared_ptr<PredictionService> service;
 };
 
-ScenarioSetup build_fleet(std::uint64_t seed, int machines, int days) {
+ScenarioSetup build_fleet(std::vector<MachineTrace> traces,
+                          ServiceConfig service_config = {}) {
   ScenarioSetup setup;
-  WorkloadParams params;
-  setup.traces = generate_fleet(params, seed, machines, days, "chaos");
-  setup.service = std::make_shared<PredictionService>();
+  setup.traces = std::move(traces);
+  setup.service = std::make_shared<PredictionService>(service_config);
   setup.gateways.reserve(setup.traces.size());
   for (const MachineTrace& trace : setup.traces)
     setup.gateways.emplace_back(trace, Thresholds{}, setup.service);
   for (Gateway& gateway : setup.gateways) setup.registry.publish(gateway);
   return setup;
+}
+
+std::vector<MachineTrace> lab_fleet(std::uint64_t seed, int machines,
+                                    int days) {
+  return generate_fleet(WorkloadParams{}, seed, machines, days, "chaos");
 }
 
 void print_outcome(int job, const JobOutcome& outcome) {
@@ -50,6 +59,36 @@ void print_outcome(int job, const JobOutcome& outcome) {
       job, outcome.completed ? "completed" : "FAILED", outcome.attempts,
       outcome.failures, outcome.checkpoints_taken,
       static_cast<long long>(outcome.response_time()));
+  std::string machines;
+  for (const std::string& id : outcome.machines_used)
+    machines += (machines.empty() ? "" : ",") + id;
+  std::printf("job %02d: machines=%s\n", job,
+              machines.empty() ? "-" : machines.c_str());
+}
+
+/// Prints a replicated job: its plan (planner only), its outcome, and the
+/// exact CPU spent plus the planned replica ids.
+void print_replicated(int job, const ReplicatedOutcome& outcome) {
+  std::string planned;
+  if (outcome.plan.has_value()) {
+    const ReplicationPlan& plan = *outcome.plan;
+    std::printf("job %02d: plan %-8s replicas=%zu achieved=%.17g "
+                "target=%.17g\n",
+                job, plan.feasible ? "feasible" : "FALLBACK",
+                plan.replicas.size(), plan.achieved_availability,
+                plan.target_availability);
+    for (const ReplicaCandidate& replica : plan.replicas)
+      planned += (planned.empty() ? " plan=" : ",") + replica.machine_id;
+  }
+  std::printf(
+      "job %02d: %s winner=%s replicas=%d lost=%d cpu=%.0f response=%llds\n",
+      job, outcome.completed ? "completed" : "FAILED",
+      outcome.completed ? outcome.winning_machine.c_str() : "-",
+      outcome.replicas_started, outcome.replicas_failed,
+      outcome.total_cpu_spent,
+      static_cast<long long>(outcome.response_time()));
+  std::printf("job %02d: cpu=%.17g%s\n", job, outcome.total_cpu_spent,
+              planned.c_str());
 }
 
 void print_stats() {
@@ -62,10 +101,66 @@ void print_stats() {
                 static_cast<unsigned long long>(point.fires));
 }
 
+/// The guest-job loop of the scheduling scenarios. Job j needs
+/// `cpu_seconds` of CPU, is submitted on the last trace day at
+/// 08:00 + (j mod 8) h and gives up 12 h later; `run` executes and prints it
+/// and returns whether it completed. A non-null `service` prints its
+/// counters before the tally: only order-invariant ones, because with a
+/// batch fanned out over the thread pool *which* request warms the cache
+/// (and so the hit/miss split) depends on worker interleaving, while
+/// lookups, batches and invalidations are fixed by the scenario alone.
+int run_jobs(int days, int jobs, double cpu_seconds,
+             const PredictionService* service,
+             const std::function<bool(int, const GuestJobSpec&, SimTime,
+                                      SimTime)>& run) {
+  int completed = 0;
+  for (int j = 0; j < jobs; ++j) {
+    const GuestJobSpec job{.job_id = "job" + std::to_string(j),
+                           .cpu_seconds = cpu_seconds,
+                           .mem_mb = 64};
+    const SimTime submit =
+        (days - 1) * kSecondsPerDay + (8 + j % 8) * kSecondsPerHour;
+    completed += run(j, job, submit, submit + 12 * kSecondsPerHour) ? 1 : 0;
+  }
+  if (service != nullptr) {
+    const ServiceStats stats = service->stats();
+    std::printf("service: lookups=%llu batches=%llu invalidations=%llu\n",
+                static_cast<unsigned long long>(stats.lookups),
+                static_cast<unsigned long long>(stats.batches),
+                static_cast<unsigned long long>(stats.invalidations));
+  }
+  std::printf("completed %d/%d\n", completed, jobs);
+  return completed == 0 ? 1 : 0;
+}
+
+/// run_jobs' step for a JobScheduler placement.
+auto scheduled_step(const JobScheduler& scheduler,
+                    CheckpointMode mode = CheckpointMode::kNone,
+                    CheckpointConfig checkpoint = {}) {
+  return [&scheduler, mode, checkpoint](int j, const GuestJobSpec& job,
+                                        SimTime submit, SimTime give_up) {
+    const JobOutcome outcome =
+        scheduler.run_job(job, submit, give_up, mode, checkpoint);
+    print_outcome(j, outcome);
+    return outcome.completed;
+  };
+}
+
+/// run_jobs' step for a ReplicatingScheduler placement.
+auto replicated_step(const ReplicatingScheduler& scheduler) {
+  return [&scheduler](int j, const GuestJobSpec& job, SimTime submit,
+                      SimTime give_up) {
+    const ReplicatedOutcome outcome = scheduler.run_job(job, submit, give_up);
+    print_replicated(j, outcome);
+    return outcome.completed;
+  };
+}
+
 /// Jobs resubmitted with exponential backoff while replicas are revoked
-/// mid-execution.
+/// mid-execution. The registry scenario runs the same loop; its faults hit
+/// the registry enumeration/lookup path instead of running guests.
 int run_revocation(std::uint64_t seed, int machines, int days, int jobs) {
-  ScenarioSetup setup = build_fleet(seed, machines, days);
+  ScenarioSetup setup = build_fleet(lab_fleet(seed, machines, days));
   SchedulerConfig config;
   config.backoff_factor = 2.0;
   config.retry_delay = 120;
@@ -73,150 +168,59 @@ int run_revocation(std::uint64_t seed, int machines, int days, int jobs) {
   CheckpointConfig checkpoint;
   checkpoint.fixed_interval = 1800;
   checkpoint.cost_seconds = 30;
+  return run_jobs(
+      days, jobs, 3600, nullptr,
+      scheduled_step(scheduler, CheckpointMode::kFixed, checkpoint));
+}
 
-  int completed = 0;
-  for (int j = 0; j < jobs; ++j) {
-    const GuestJobSpec job{.job_id = "job" + std::to_string(j),
-                           .cpu_seconds = 3600,
-                           .mem_mb = 64};
-    const SimTime submit =
-        (days - 1) * kSecondsPerDay + (8 + j % 8) * kSecondsPerHour;
-    const JobOutcome outcome =
-        scheduler.run_job(job, submit, submit + 12 * kSecondsPerHour,
-                          CheckpointMode::kFixed, checkpoint);
-    print_outcome(j, outcome);
-    completed += outcome.completed ? 1 : 0;
-  }
-  std::printf("completed %d/%d\n", completed, jobs);
-  return completed == 0 ? 1 : 0;
+/// Batched placement through a shared PredictionService under forced
+/// invalidation churn and latency injection.
+int run_service(std::uint64_t seed, int machines, int days, int jobs) {
+  ScenarioSetup setup = build_fleet(lab_fleet(seed, machines, days));
+  const JobScheduler scheduler(setup.registry, setup.service);
+  return run_jobs(days, jobs, 1800, setup.service.get(),
+                  scheduled_step(scheduler));
 }
 
 /// Replicated placement racing the same churn a single placement faces.
 int run_churn(std::uint64_t seed, int machines, int days, int jobs) {
-  ScenarioSetup setup = build_fleet(seed, machines, days);
+  ScenarioSetup setup = build_fleet(lab_fleet(seed, machines, days));
   const ReplicatingScheduler scheduler(setup.registry, setup.service,
                                        machines < 3 ? machines : 3);
-  int completed = 0;
-  for (int j = 0; j < jobs; ++j) {
-    const GuestJobSpec job{.job_id = "job" + std::to_string(j),
-                           .cpu_seconds = 3600,
-                           .mem_mb = 64};
-    const SimTime submit =
-        (days - 1) * kSecondsPerDay + (8 + j % 8) * kSecondsPerHour;
-    const ReplicatedOutcome outcome =
-        scheduler.run_job(job, submit, submit + 12 * kSecondsPerHour);
-    std::printf(
-        "job %02d: %s winner=%s replicas=%d lost=%d cpu=%.0f response=%llds\n",
-        j, outcome.completed ? "completed" : "FAILED",
-        outcome.completed ? outcome.winning_machine.c_str() : "-",
-        outcome.replicas_started, outcome.replicas_failed,
-        outcome.total_cpu_spent,
-        static_cast<long long>(outcome.response_time()));
-    completed += outcome.completed ? 1 : 0;
-  }
-  std::printf("completed %d/%d\n", completed, jobs);
-  return completed == 0 ? 1 : 0;
+  return run_jobs(days, jobs, 3600, nullptr, replicated_step(scheduler));
 }
 
 /// Availability-target replication planning on a transient-VM fleet under a
 /// replica-churn storm: replicas vanish between placement and launch, and
 /// sporadic estimation outages thin the candidate pool. Every job's plan is
 /// printed — the planner either meets the target from the machines it can
-/// still predict, or reports an explicit fallback — and the run, including
-/// the FailpointStats trailer, replays byte-identically from the same flags
-/// (the service is pinned to max_threads=1 so the every-N estimate faults
-/// hit the same probes regardless of FGCS_THREADS).
+/// still predict, or reports an explicit fallback. The service is pinned to
+/// max_threads=1 so the every-N estimate faults hit the same probes
+/// regardless of FGCS_THREADS.
 int run_planner(std::uint64_t seed, int machines, int days, int jobs) {
-  PreemptionParams params;
-  const std::vector<MachineTrace> traces =
-      generate_preemption_fleet(params, seed, machines, days, "vm");
-  ServiceConfig service_config;
-  service_config.max_threads = 1;  // deterministic failpoint attribution
-  auto service = std::make_shared<PredictionService>(service_config);
-  std::vector<Gateway> gateways;
-  gateways.reserve(traces.size());
-  for (const MachineTrace& trace : traces)
-    gateways.emplace_back(trace, Thresholds{}, service);
-  Registry registry;
-  for (Gateway& gateway : gateways) registry.publish(gateway);
-
+  ScenarioSetup setup = build_fleet(
+      generate_preemption_fleet(PreemptionParams{}, seed, machines, days, "vm"),
+      ServiceConfig{.max_threads = 1});
   PlannerConfig planner;
   planner.target_availability = 0.95;
   planner.max_replicas = machines < 4 ? machines : 4;
   planner.fallback_replicas = machines < 2 ? machines : 2;
-  const ReplicatingScheduler scheduler(registry, service, planner);
-
-  int completed = 0;
-  for (int j = 0; j < jobs; ++j) {
-    const GuestJobSpec job{.job_id = "job" + std::to_string(j),
-                           .cpu_seconds = 3600,
-                           .mem_mb = 64};
-    const SimTime submit =
-        (days - 1) * kSecondsPerDay + (8 + j % 8) * kSecondsPerHour;
-    const ReplicatedOutcome outcome =
-        scheduler.run_job(job, submit, submit + 12 * kSecondsPerHour);
-    if (outcome.plan.has_value()) {
-      const ReplicationPlan& plan = *outcome.plan;
-      std::printf("job %02d: plan %-8s replicas=%zu achieved=%.17g "
-                  "target=%.17g\n",
-                  j, plan.feasible ? "feasible" : "FALLBACK",
-                  plan.replicas.size(), plan.achieved_availability,
-                  plan.target_availability);
-    }
-    std::printf(
-        "job %02d: %s winner=%s replicas=%d lost=%d cpu=%.0f response=%llds\n",
-        j, outcome.completed ? "completed" : "FAILED",
-        outcome.completed ? outcome.winning_machine.c_str() : "-",
-        outcome.replicas_started, outcome.replicas_failed,
-        outcome.total_cpu_spent,
-        static_cast<long long>(outcome.response_time()));
-    completed += outcome.completed ? 1 : 0;
-  }
-  const ServiceStats service_stats = service->stats();
-  std::printf("service: lookups=%llu batches=%llu invalidations=%llu\n",
-              static_cast<unsigned long long>(service_stats.lookups),
-              static_cast<unsigned long long>(service_stats.batches),
-              static_cast<unsigned long long>(service_stats.invalidations));
-  std::printf("completed %d/%d\n", completed, jobs);
-  return completed == 0 ? 1 : 0;
+  const ReplicatingScheduler scheduler(setup.registry, setup.service, planner);
+  return run_jobs(days, jobs, 3600, setup.service.get(),
+                  replicated_step(scheduler));
 }
 
-/// Loopback prediction serving under a failpoint storm: dropped accepts,
-/// 3-byte reads, 16-byte writes, and corrupt-flagged frames. The client's
-/// whole-batch retry must drive every job to completion with Predictions
-/// bit-identical to an in-process service, and — because every net failpoint
-/// is evaluated per connection or per frame, never per read()/write() — the
-/// printed counters and FailpointStats replay byte-identically.
-int run_net(std::uint64_t seed, int machines, int days, int jobs,
-            unsigned reactors) {
-  WorkloadParams params;
-  const std::vector<MachineTrace> traces =
-      generate_fleet(params, seed, machines, days, "chaos");
-
-  net::ServerConfig server_config;
-  // Connection placement is deterministic round-robin; with a sequential
-  // client that keeps the whole report — including the per-reactor counter
-  // split printed below — byte-identical run to run.
-  server_config.reactors = reactors;
-  net::PredictionServer server(server_config,
-                               std::make_shared<PredictionService>());
-  for (const MachineTrace& trace : traces) server.add_trace(trace);
-  server.start();
-  if (reactors > 1)
-    std::printf("reactors=%u\n", server.reactor_count());
-
-  net::ClientConfig client_config;
-  client_config.port = server.port();
-  client_config.max_attempts = 10;
-  client_config.backoff.retry_delay = 2;      // ms: keep the replay quick
-  client_config.backoff.max_retry_delay = 50; // ms
-  net::PredictionClient client(client_config);
-
-  // Independent in-process reference for the bit-identity verdicts.
+/// The wire scenarios' jobs: job j sends one two-item batch (machines j and
+/// j+1, windows staggered by j) through `client` and compares every served
+/// Prediction bit for bit with an in-process reference, one line per item.
+/// `before_job(j)` runs first. Returns the number of all-identical jobs.
+template <typename Client, typename BeforeJob>
+int serve_jobs(Client& client, const std::vector<MachineTrace>& traces,
+               int jobs, BeforeJob&& before_job) {
   PredictionService reference;
-
   int completed = 0;
   for (int j = 0; j < jobs; ++j) {
+    before_job(j);
     std::vector<net::WireRequestItem> items;
     std::vector<const MachineTrace*> item_traces;
     for (int k = 0; k < 2; ++k) {
@@ -247,6 +251,38 @@ int run_net(std::uint64_t seed, int machines, int days, int jobs,
     }
     completed += identical ? 1 : 0;
   }
+  return completed;
+}
+
+/// Loopback prediction serving under a failpoint storm: dropped accepts,
+/// 3-byte reads, 16-byte writes, and corrupt-flagged frames. The client's
+/// whole-batch retry must drive every job to completion with Predictions
+/// bit-identical to an in-process service, and — because every net failpoint
+/// is evaluated per connection or per frame, never per read()/write() — the
+/// printed counters and FailpointStats replay byte-identically.
+int run_net(std::uint64_t seed, int machines, int days, int jobs,
+            unsigned reactors) {
+  const std::vector<MachineTrace> traces = lab_fleet(seed, machines, days);
+
+  net::ServerConfig server_config;
+  // Connection placement is deterministic round-robin; with a sequential
+  // client that keeps the whole report — including the per-reactor counter
+  // split printed below — byte-identical run to run.
+  server_config.reactors = reactors;
+  net::PredictionServer server(server_config,
+                               std::make_shared<PredictionService>());
+  for (const MachineTrace& trace : traces) server.add_trace(trace);
+  server.start();
+  if (reactors > 1)
+    std::printf("reactors=%u\n", server.reactor_count());
+
+  net::ClientConfig client_config;
+  client_config.port = server.port();
+  client_config.max_attempts = 10;
+  client_config.backoff.retry_delay = 2;      // ms: keep the replay quick
+  client_config.backoff.max_retry_delay = 50; // ms
+  net::PredictionClient client(client_config);
+  const int completed = serve_jobs(client, traces, jobs, [](int) {});
 
   // stop() joins the serving thread, so the snapshot below can't race the
   // loop's final counter increments (the last write lands before the join).
@@ -296,7 +332,7 @@ int run_net(std::uint64_t seed, int machines, int days, int jobs,
 /// byte-identical to its source trace, and predictions served over the
 /// streamed history must match an in-process service on the originals bit
 /// for bit. Every counter printed is pinned by the spec + seed, so the run
-/// replays byte-identically (tests/chaos_replay.cmake, ingest legs).
+/// replays byte-identically (the chaos_replay_ingest* ctest rows).
 int run_ingest(std::uint64_t seed, int machines, int days, int jobs,
                unsigned reactors) {
   WorkloadParams params;
@@ -437,7 +473,7 @@ int run_ingest(std::uint64_t seed, int machines, int days, int jobs,
 /// must re-converge all nodes to one membership + ring digest within a
 /// bounded round count, and the printed digests, convergence rounds, agent
 /// counters, and FailpointStats replay byte-identically from the same flags
-/// (tests/chaos_replay.cmake, gossip legs).
+/// (the chaos_replay_gossip* ctest rows).
 ///
 /// Phase 2 proves the sharded serving path: three PredictionServers take
 /// the converged ring (their identities and real bound ports), a
@@ -510,9 +546,7 @@ int run_gossip(std::uint64_t seed, int machines, int days, int jobs,
 
   // -------------------------------------------------------------------------
   // Phase 2: serve through the converged ring over the real wire.
-  WorkloadParams params;
-  const std::vector<MachineTrace> traces =
-      generate_fleet(params, seed, machines, days, "chaos");
+  const std::vector<MachineTrace> traces = lab_fleet(seed, machines, days);
 
   std::vector<std::unique_ptr<net::PredictionServer>> servers;
   for (int i = 0; i < kNodes; ++i) {
@@ -541,9 +575,7 @@ int run_gossip(std::uint64_t seed, int machines, int days, int jobs,
   client_config.base.port = 1;  // per-shard endpoints come from the ring
   net::ShardedPredictionClient client(ring, client_config);
 
-  PredictionService reference;
-  int completed = 0;
-  for (int j = 0; j < jobs; ++j) {
+  const int completed = serve_jobs(client, traces, jobs, [&](int j) {
     if (j % 3 == 0 && ring.size() > 1) {
       // Stale the client's view: a two-member ring misroutes every key the
       // dropped member owns, and the wrong owner's kWrongShard answer must
@@ -552,36 +584,7 @@ int run_gossip(std::uint64_t seed, int machines, int days, int jobs,
       stale.erase(stale.begin() + j / 3 % kNodes);
       client.adopt_ring(HashRing(stale, /*vnodes=*/64, /*version=*/0));
     }
-    std::vector<net::WireRequestItem> items;
-    std::vector<const MachineTrace*> item_traces;
-    for (int k = 0; k < 2; ++k) {
-      const MachineTrace& trace =
-          traces[static_cast<std::size_t>(j + k) % traces.size()];
-      net::WireRequestItem item;
-      item.machine_key = trace.machine_id();
-      item.request.target_day = trace.day_count();
-      item.request.window.start_of_day =
-          (8 + (j + 5 * k) % 10) * kSecondsPerHour;
-      item.request.window.length = (1 + j % 4) * kSecondsPerHour;
-      items.push_back(std::move(item));
-      item_traces.push_back(&trace);
-    }
-    const std::vector<Prediction> served = client.predict_batch(items);
-    bool identical = true;
-    for (std::size_t i = 0; i < served.size(); ++i) {
-      const Prediction expected =
-          reference.predict(*item_traces[i], items[i].request);
-      identical = identical &&
-                  served[i].temporal_reliability ==
-                      expected.temporal_reliability &&
-                  served[i].p_absorb == expected.p_absorb;
-      std::printf("job %02d.%zu: %-12s TR %.17g %s\n", j, i,
-                  items[i].machine_key.c_str(),
-                  served[i].temporal_reliability,
-                  identical ? "bit-identical" : "MISMATCH");
-    }
-    completed += identical ? 1 : 0;
-  }
+  });
 
   for (const auto& server : servers) server->stop();
   for (int i = 0; i < kNodes; ++i) {
@@ -610,17 +613,18 @@ int main_checked(int argc, char** argv) {
   const std::string scenario = args.get("scenario");
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  const int machines = static_cast<int>(args.get_int_or("machines", 4));
-  const int days = static_cast<int>(args.get_int_or("days", 10));
-  const int jobs = static_cast<int>(args.get_int_or("jobs", 8));
-  const auto reactors =
-      static_cast<unsigned>(args.get_int_or("reactors", 1));
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  const int machines =
+      static_cast<int>(args.get_int_or("machines", 4, 1, kIntMax));
+  const int days = static_cast<int>(args.get_int_or("days", 10, 2, kIntMax));
+  const int jobs = static_cast<int>(args.get_int_or("jobs", 8, 1, kIntMax));
+  // Round-robin placement gives a reactor past max_connections nothing to
+  // own, so that is the ceiling.
+  const auto reactors = static_cast<unsigned>(args.get_int_or(
+      "reactors", 1, 1,
+      static_cast<std::int64_t>(net::ServerConfig{}.max_connections)));
   std::string spec = args.get_or("failpoints", "");
   args.check_all_consumed();
-  if (machines < 1 || days < 2 || jobs < 1) {
-    std::fprintf(stderr, "need --machines >= 1, --days >= 2, --jobs >= 1\n");
-    return 1;
-  }
 
   // Scenario defaults; fold the run seed into the probability streams so
   // --seed changes the injected fault pattern too.
@@ -673,45 +677,14 @@ int main_checked(int argc, char** argv) {
   std::printf("failpoints=%s\n", spec.c_str());
 
   int status = 1;
-  if (scenario == "revocation") {
+  if (scenario == "revocation" || scenario == "registry") {
     status = run_revocation(seed, machines, days, jobs);
+  } else if (scenario == "service") {
+    status = run_service(seed, machines, days, jobs);
   } else if (scenario == "churn") {
     status = run_churn(seed, machines, days, jobs);
   } else if (scenario == "planner") {
     status = run_planner(seed, machines, days, jobs);
-  } else if (scenario == "registry") {
-    // Same scheduling loop as revocation; the injected faults hit the
-    // registry enumeration/lookup path instead of running guests.
-    status = run_revocation(seed, machines, days, jobs);
-  } else if (scenario == "service") {
-    // Batched placement through a shared PredictionService under forced
-    // invalidation churn and latency injection.
-    ScenarioSetup setup = build_fleet(seed, machines, days);
-    const JobScheduler scheduler(setup.registry, setup.service);
-    int completed = 0;
-    for (int j = 0; j < jobs; ++j) {
-      const GuestJobSpec job{.job_id = "job" + std::to_string(j),
-                             .cpu_seconds = 1800,
-                             .mem_mb = 64};
-      const SimTime submit =
-          (days - 1) * kSecondsPerDay + (8 + j % 8) * kSecondsPerHour;
-      const JobOutcome outcome =
-          scheduler.run_job(job, submit, submit + 12 * kSecondsPerHour);
-      print_outcome(j, outcome);
-      completed += outcome.completed ? 1 : 0;
-    }
-    // Only order-invariant counters belong in this line: with the batch
-    // fanned out over the thread pool, *which* request warms the cache (and
-    // so the hit/miss split) depends on worker interleaving, while
-    // lookups, batches and invalidations are fixed by the scenario alone.
-    // Byte-identical replay from the same flags is this tool's contract.
-    const ServiceStats service_stats = setup.service->stats();
-    std::printf("service: lookups=%llu batches=%llu invalidations=%llu\n",
-                static_cast<unsigned long long>(service_stats.lookups),
-                static_cast<unsigned long long>(service_stats.batches),
-                static_cast<unsigned long long>(service_stats.invalidations));
-    std::printf("completed %d/%d\n", completed, jobs);
-    status = completed == 0 ? 1 : 0;
   } else if (scenario == "net") {
     status = run_net(seed, machines, days, jobs, reactors);
   } else if (scenario == "ingest") {

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     const double split = args.get_double_or("split", 0.5);
     EstimatorConfig config;
     config.training_days =
-        static_cast<std::size_t>(args.get_int_or("training-days", 15));
+        static_cast<std::size_t>(args.get_int_or("training-days", 15, 0));
     args.check_all_consumed();
 
     if (split <= 0.0 || split >= 1.0) {

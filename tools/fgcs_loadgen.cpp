@@ -25,6 +25,7 @@
 // safe: measured from each op's *scheduled* arrival, not its actual send.
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,9 +58,9 @@ int main_checked(int argc, char** argv) {
   net::LoadgenConfig config;
   config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
   config.offered_rate = std::stod(args.get_or("rate", "200"));
-  config.total_ops = static_cast<std::size_t>(args.get_int_or("ops", 1000));
-  config.connections =
-      static_cast<unsigned>(args.get_int_or("connections", 8));
+  config.total_ops = static_cast<std::size_t>(args.get_int_or("ops", 1000, 0));
+  config.connections = static_cast<unsigned>(args.get_int_or(
+      "connections", 8, 0, std::numeric_limits<unsigned>::max()));
   config.zipf_theta = std::stod(args.get_or("theta", "0.99"));
 
   const std::string mix = args.get_or("mix", "read");
@@ -86,13 +87,18 @@ int main_checked(int argc, char** argv) {
 
   // Target resolution — either an in-process server over a synthetic
   // fleet, or an external host/port plus explicit keys.
-  const unsigned reactors =
-      static_cast<unsigned>(args.get_int_or("reactors", 2));
+  // Round-robin placement gives a reactor past max_connections nothing to
+  // own, so that is the ceiling.
+  const unsigned reactors = static_cast<unsigned>(args.get_int_or(
+      "reactors", 2, 1,
+      static_cast<std::int64_t>(net::ServerConfig{}.max_connections)));
   const std::size_t machines =
-      static_cast<std::size_t>(args.get_int_or("machines", 4));
-  const std::size_t days = static_cast<std::size_t>(args.get_int_or("days", 8));
+      static_cast<std::size_t>(args.get_int_or("machines", 4, 0));
+  const std::size_t days =
+      static_cast<std::size_t>(args.get_int_or("days", 8, 0));
   const std::string host = args.get_or("host", "127.0.0.1");
-  const auto port = static_cast<std::uint16_t>(args.get_int_or("port", 0));
+  const auto port =
+      static_cast<std::uint16_t>(args.get_int_or("port", 0, 0, 65535));
   std::vector<std::string> keys = split_keys(args.get_or("keys", ""));
   config.target_day = args.get_int_or("target-day", 10);
   args.check_all_consumed();

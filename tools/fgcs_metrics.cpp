@@ -15,6 +15,7 @@
 // endpoint); the one-line workload summary goes to stderr. Works with
 // FGCS_TRACE_FILE and FGCS_FAILPOINTS like every fgcs binary.
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -52,8 +53,9 @@ int main(int argc, char** argv) {
     const ArgParser args(argc, argv, {});
     ServiceConfig config;
     config.estimator.training_days =
-        static_cast<std::size_t>(args.get_int_or("training-days", 15));
-    config.max_threads = static_cast<unsigned>(args.get_int_or("threads", 0));
+        static_cast<std::size_t>(args.get_int_or("training-days", 15, 0));
+    config.max_threads = static_cast<unsigned>(
+        args.get_int_or("threads", 0, 0, std::numeric_limits<unsigned>::max()));
 
     std::size_t served = 0;
     PredictionService service(config);

@@ -194,7 +194,8 @@ int selfcheck(std::uint16_t port, std::uint64_t seed) {
 int main_checked(int argc, char** argv) {
   const ArgParser args(argc, argv, {"selfcheck"});
   if (args.has("selfcheck")) {
-    const auto port = static_cast<std::uint16_t>(args.get_int_or("port", 0));
+    const auto port =
+        static_cast<std::uint16_t>(args.get_int_or("port", 0, 0, 65535));
     const auto seed =
         static_cast<std::uint64_t>(args.get_int_or("seed", 20060619));
     args.check_all_consumed();
@@ -204,7 +205,8 @@ int main_checked(int argc, char** argv) {
   const std::string path = args.get("trace");
   net::ClientConfig client_config;
   client_config.host = args.get_or("connect", "127.0.0.1");
-  client_config.port = static_cast<std::uint16_t>(args.get_int("port"));
+  client_config.port =
+      static_cast<std::uint16_t>(args.get_int("port", 1, 65535));
   const std::int64_t batch_arg = args.get_int_or("batch", 0);
   args.check_all_consumed();
 

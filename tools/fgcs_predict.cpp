@@ -27,6 +27,7 @@
 //
 //   fgcs_predict --batch FILE --connect HOST:PORT [--timeout SECONDS]
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -99,8 +100,9 @@ int run_batch(const fgcs::ArgParser& args) {
 
   ServiceConfig config;
   config.estimator.training_days =
-      static_cast<std::size_t>(args.get_int_or("training-days", 15));
-  config.max_threads = static_cast<unsigned>(args.get_int_or("threads", 0));
+      static_cast<std::size_t>(args.get_int_or("training-days", 15, 0));
+  config.max_threads = static_cast<unsigned>(
+      args.get_int_or("threads", 0, 0, std::numeric_limits<unsigned>::max()));
   const bool want_metrics = args.has("metrics");
   args.check_all_consumed();
 
@@ -155,7 +157,7 @@ int main(int argc, char** argv) {
 
     EstimatorConfig config;
     config.training_days =
-        static_cast<std::size_t>(args.get_int_or("training-days", 15));
+        static_cast<std::size_t>(args.get_int_or("training-days", 15, 0));
 
     PredictionRequest request;
     request.target_day = args.get_int_or("day", trace.day_count());

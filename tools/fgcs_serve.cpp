@@ -38,6 +38,7 @@
 // cold and warm. Exits 0 on success; this is the tool's smoke test.
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -195,22 +196,27 @@ int selfcheck(std::uint16_t port) {
 int main_checked(int argc, char** argv) {
   const ArgParser args(argc, argv, {"selfcheck", "metrics", "ingest"});
   if (args.has("selfcheck")) {
-    const auto port = static_cast<std::uint16_t>(args.get_int_or("port", 0));
+    const auto port =
+        static_cast<std::uint16_t>(args.get_int_or("port", 0, 0, 65535));
     args.check_all_consumed();
     return selfcheck(port);
   }
 
   ServiceConfig service_config;
   service_config.estimator.training_days =
-      static_cast<std::size_t>(args.get_int_or("training-days", 15));
-  service_config.max_threads =
-      static_cast<unsigned>(args.get_int_or("threads", 0));
+      static_cast<std::size_t>(args.get_int_or("training-days", 15, 0));
+  service_config.max_threads = static_cast<unsigned>(
+      args.get_int_or("threads", 0, 0, std::numeric_limits<unsigned>::max()));
 
   net::ServerConfig server_config;
   server_config.host = args.get_or("host", "127.0.0.1");
-  server_config.port = static_cast<std::uint16_t>(args.get_int_or("port", 7070));
-  server_config.reactors =
-      static_cast<unsigned>(args.get_int_or("reactors", 1));
+  server_config.port =
+      static_cast<std::uint16_t>(args.get_int_or("port", 7070, 0, 65535));
+  // Round-robin placement gives a reactor past max_connections nothing to
+  // own, so that is the ceiling.
+  server_config.reactors = static_cast<unsigned>(args.get_int_or(
+      "reactors", 1, 1,
+      static_cast<std::int64_t>(server_config.max_connections)));
   server_config.trace_root = args.get_or("load-root", "");
   server_config.ingest = args.has("ingest");
   server_config.ingest_retention_days = args.get_int_or("retention", 0);
@@ -218,7 +224,8 @@ int main_checked(int argc, char** argv) {
   const std::vector<MemberState> peers = parse_peers(args.get_or("peers", ""));
   const std::int64_t gossip_interval_ms =
       args.get_int_or("gossip-interval", 1000);
-  const auto vnodes = static_cast<std::uint32_t>(args.get_int_or("vnodes", 128));
+  const auto vnodes = static_cast<std::uint32_t>(args.get_int_or(
+      "vnodes", 128, 0, std::numeric_limits<std::uint32_t>::max()));
   const std::int64_t max_requests = args.get_int_or("max-requests", 0);
   const bool want_metrics = args.has("metrics");
   args.check_all_consumed();

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -77,8 +78,9 @@ std::int64_t in_range(const std::string& name, std::int64_t value,
 double to_double(const std::string& name, const std::string& text) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  FGCS_REQUIRE_MSG(end != nullptr && *end == '\0' && !text.empty(),
-                   "option --" + name + " expects a number, got '" + text + "'");
+  FGCS_REQUIRE_MSG(
+      end != nullptr && *end == '\0' && !text.empty() && std::isfinite(value),
+      "option --" + name + " expects a finite number, got '" + text + "'");
   return value;
 }
 }  // namespace
@@ -123,14 +125,30 @@ void ArgParser::check_all_consumed() const {
 }
 
 std::int64_t parse_time_of_day(const std::string& text) {
-  int hours = 0, minutes = 0, seconds = 0;
-  const int fields =
-      std::sscanf(text.c_str(), "%d:%d:%d", &hours, &minutes, &seconds);
-  FGCS_REQUIRE_MSG(fields >= 2, "expected HH:MM or HH:MM:SS, got '" + text + "'");
+  int hours = 0, minutes = 0, seconds = 0, used = 0;
+  // %n records how far each form matched; it does not count as a field.
+  const int fields = std::sscanf(text.c_str(), "%d:%d%n:%d%n", &hours,
+                                 &minutes, &used, &seconds, &used);
+  FGCS_REQUIRE_MSG(fields >= 2 && static_cast<std::size_t>(used) == text.size(),
+                   "expected HH:MM or HH:MM:SS, got '" + text + "'");
   FGCS_REQUIRE_MSG(hours >= 0 && hours < 24 && minutes >= 0 && minutes < 60 &&
                        seconds >= 0 && seconds < 60,
                    "time of day out of range: '" + text + "'");
   return hours * kSecondsPerHour + minutes * kSecondsPerMinute + seconds;
+}
+
+Endpoint parse_endpoint(const std::string& text) {
+  const std::size_t colon = text.rfind(':');
+  const std::string port =
+      colon == std::string::npos ? "" : text.substr(colon + 1);
+  FGCS_REQUIRE_MSG(colon != std::string::npos && colon > 0 && !port.empty() &&
+                       port.size() <= 5 &&
+                       port.find_first_not_of("0123456789") == std::string::npos,
+                   "expected HOST:PORT, got '" + text + "'");
+  const int value = std::stoi(port);
+  FGCS_REQUIRE_MSG(1 <= value && value <= 65535,
+                   "port must be in [1, 65535], got '" + text + "'");
+  return {text.substr(0, colon), static_cast<std::uint16_t>(value)};
 }
 
 }  // namespace fgcs

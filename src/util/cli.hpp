@@ -57,7 +57,18 @@ class ArgParser {
   mutable std::set<std::string> consumed_;
 };
 
-/// Parses "HH:MM" or "HH:MM:SS" into a second-of-day.
+/// Parses "HH:MM" or "HH:MM:SS" into a second-of-day. The whole string must
+/// match: trailing text is an error.
 std::int64_t parse_time_of_day(const std::string& text);
+
+struct Endpoint {
+  std::string host;
+  std::uint16_t port = 0;
+};
+
+/// Parses "HOST:PORT", split at the last ':'. HOST must be non-empty and
+/// PORT all digits in [1, 65535]; anything else throws PreconditionError
+/// naming the text.
+Endpoint parse_endpoint(const std::string& text);
 
 }  // namespace fgcs

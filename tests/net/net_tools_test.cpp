@@ -11,11 +11,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if !defined(FGCS_SERVE_BIN) || !defined(FGCS_PREDICT_BIN) || \
-    !defined(FGCS_GEN_BIN)
-#error "build must define FGCS_SERVE_BIN, FGCS_PREDICT_BIN, FGCS_GEN_BIN"
+    !defined(FGCS_GEN_BIN) || !defined(FGCS_LOADGEN_BIN)
+#error "build must define FGCS_SERVE_BIN, FGCS_PREDICT_BIN, FGCS_GEN_BIN, FGCS_LOADGEN_BIN"
 #endif
 
 namespace {
@@ -57,6 +58,30 @@ TEST(NetTools, ServeSelfcheckPassesBitIdentityColdAndWarm) {
       << result.output;
   EXPECT_NE(result.output.find("warm pass OK"), std::string::npos)
       << result.output;
+}
+
+TEST(NetTools, MalformedValuesExitNonzeroNamingTheOption) {
+  // Each bad value must stop the tool before it plans, connects or reads the
+  // batch file, with a message that says which value was wrong.
+  const std::string loadgen = std::string(FGCS_LOADGEN_BIN) + " --plan-only";
+  const std::string predict =
+      std::string(FGCS_PREDICT_BIN) + " --batch no-such-batch.txt";
+  const std::pair<std::string, std::string> cases[] = {
+      {loadgen + " --rate abc", "--rate"},
+      {loadgen + " --rate 200abc", "--rate"},
+      {loadgen + " --rate nan", "--rate"},
+      {loadgen + " --theta 0.9x", "--theta"},
+      {loadgen + " --assert-achieved inf", "--assert-achieved"},
+      {predict + " --connect 127.0.0.1:70000", "127.0.0.1:70000"},
+      {predict + " --connect 127.0.0.1:abc", "127.0.0.1:abc"},
+      {predict + " --connect 127.0.0.1:7070 --timeout inf", "--timeout"},
+  };
+  for (const auto& [command, named] : cases) {
+    const RunResult result = run(command);
+    EXPECT_NE(result.status, 0) << command << "\n" << result.output;
+    EXPECT_NE(result.output.find(named), std::string::npos)
+        << command << "\n" << result.output;
+  }
 }
 
 TEST(NetTools, ConnectModeReportMatchesLocalBatchMode) {

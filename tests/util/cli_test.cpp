@@ -48,6 +48,21 @@ TEST(ArgParserTest, NumericValidation) {
   EXPECT_DOUBLE_EQ(args.get_double("x"), 3.5);
 }
 
+TEST(ArgParserTest, DoublesMustBeFinite) {
+  const ArgParser args = parse({"prog", "--rate", "nan", "--timeout", "inf",
+                                "--big", "1e999", "--neg", "-inf"});
+  EXPECT_THROW(args.get_double("rate"), PreconditionError);
+  EXPECT_THROW(args.get_double_or("timeout", 30.0), PreconditionError);
+  EXPECT_THROW(args.get_double("big"), PreconditionError);
+  EXPECT_THROW(args.get_double_or("neg", 1.0), PreconditionError);
+  try {
+    args.get_double("rate");
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("--rate"), std::string::npos);
+  }
+}
+
 TEST(ArgParserTest, BoundedReadsRejectNegativeAndOverRangeValues) {
   const ArgParser args = parse(
       {"prog", "--reactors", "-1", "--port", "70000", "--ops", "-5"});
@@ -108,6 +123,39 @@ TEST(ParseTimeOfDayTest, RejectsBadInput) {
   EXPECT_THROW(parse_time_of_day("12:60"), PreconditionError);
   EXPECT_THROW(parse_time_of_day("noon"), PreconditionError);
   EXPECT_THROW(parse_time_of_day("7"), PreconditionError);
+}
+
+TEST(ParseTimeOfDayTest, RejectsTrailingText) {
+  EXPECT_THROW(parse_time_of_day("09:30junk"), PreconditionError);
+  EXPECT_THROW(parse_time_of_day("09:30:15x"), PreconditionError);
+  EXPECT_THROW(parse_time_of_day("09:30:"), PreconditionError);
+  EXPECT_THROW(parse_time_of_day("09:30 "), PreconditionError);
+  EXPECT_EQ(parse_time_of_day("09:30:15"), 9 * kSecondsPerHour + 1815);
+}
+
+TEST(ParseEndpointTest, SplitsHostAndPort) {
+  const Endpoint local = parse_endpoint("127.0.0.1:7070");
+  EXPECT_EQ(local.host, "127.0.0.1");
+  EXPECT_EQ(local.port, 7070);
+  EXPECT_EQ(parse_endpoint("node-a:1").port, 1);
+  EXPECT_EQ(parse_endpoint("h:65535").port, 65535);
+  // The last ':' splits, so an IPv6-style host keeps its colons.
+  EXPECT_EQ(parse_endpoint("::1:9000").host, "::1");
+}
+
+TEST(ParseEndpointTest, RejectsMalformedAndOutOfRangePorts) {
+  for (const char* text : {"127.0.0.1:70000", "h:7070x", "h:abc", "h:0",
+                           "h:", ":7070", "7070", "h:-1", "h:+80", "h: 80",
+                           "h:0000080", ""}) {
+    EXPECT_THROW(parse_endpoint(text), PreconditionError) << text;
+  }
+  try {
+    parse_endpoint("127.0.0.1:70000");
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find("127.0.0.1:70000"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

@@ -57,11 +57,11 @@ int main_checked(int argc, char** argv) {
 
   net::LoadgenConfig config;
   config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  config.offered_rate = std::stod(args.get_or("rate", "200"));
+  config.offered_rate = args.get_double_or("rate", 200.0);
   config.total_ops = static_cast<std::size_t>(args.get_int_or("ops", 1000, 0));
   config.connections = static_cast<unsigned>(args.get_int_or(
       "connections", 8, 0, std::numeric_limits<unsigned>::max()));
-  config.zipf_theta = std::stod(args.get_or("theta", "0.99"));
+  config.zipf_theta = args.get_double_or("theta", 0.99);
 
   const std::string mix = args.get_or("mix", "read");
   if (mix == "read") {
@@ -82,8 +82,7 @@ int main_checked(int argc, char** argv) {
 
   const bool selfserve = args.has("selfserve");
   const bool plan_only = args.has("plan-only");
-  const double assert_achieved =
-      std::stod(args.get_or("assert-achieved", "0"));
+  const double assert_achieved = args.get_double_or("assert-achieved", 0.0);
 
   // Target resolution — either an in-process server over a synthetic
   // fleet, or an external host/port plus explicit keys.

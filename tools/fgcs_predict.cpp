@@ -43,18 +43,10 @@ namespace {
 
 int run_connect(const fgcs::ArgParser& args) {
   using namespace fgcs;
-  const std::string endpoint = args.get("connect");
-  const std::size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == endpoint.size()) {
-    std::fprintf(stderr, "fgcs_predict: --connect wants HOST:PORT, got %s\n",
-                 endpoint.c_str());
-    return 1;
-  }
-
+  const Endpoint endpoint = parse_endpoint(args.get("connect"));
   net::ClientConfig config;
-  config.host = endpoint.substr(0, colon);
-  config.port = static_cast<std::uint16_t>(std::stoi(endpoint.substr(colon + 1)));
+  config.host = endpoint.host;
+  config.port = endpoint.port;
   config.request_timeout = args.get_double_or("timeout", 30.0);
   const std::string path = args.get("batch");
   args.check_all_consumed();

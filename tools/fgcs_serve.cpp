@@ -58,7 +58,8 @@ volatile std::sig_atomic_t g_interrupted = 0;
 void handle_signal(int) { g_interrupted = 1; }
 
 /// Parses the --peers grammar "id=host:port,id=host:port" into bootstrap
-/// member records. Throws DataError on any malformed entry.
+/// member records. Throws DataError on an entry without "ID=", and
+/// PreconditionError (from parse_endpoint) on a malformed HOST:PORT.
 std::vector<MemberState> parse_peers(const std::string& spec) {
   std::vector<MemberState> peers;
   std::size_t begin = 0;
@@ -69,18 +70,14 @@ std::vector<MemberState> parse_peers(const std::string& spec) {
     begin = end + 1;
     if (entry.empty()) continue;
     const std::size_t eq = entry.find('=');
-    const std::size_t colon = entry.rfind(':');
-    if (eq == std::string::npos || colon == std::string::npos || colon < eq ||
-        eq == 0 || colon == eq + 1 || colon + 1 == entry.size())
+    if (eq == std::string::npos || eq == 0)
       throw DataError("fgcs_serve: malformed --peers entry '" + entry +
                       "' (want ID=HOST:PORT)");
+    Endpoint endpoint = parse_endpoint(entry.substr(eq + 1));
     MemberState peer;
     peer.node_id = entry.substr(0, eq);
-    peer.host = entry.substr(eq + 1, colon - eq - 1);
-    const int port = std::stoi(entry.substr(colon + 1));
-    if (port < 1 || port > 65535)
-      throw DataError("fgcs_serve: peer port out of range in '" + entry + "'");
-    peer.port = static_cast<std::uint16_t>(port);
+    peer.host = std::move(endpoint.host);
+    peer.port = endpoint.port;
     peers.push_back(std::move(peer));
   }
   return peers;

@@ -15,12 +15,15 @@ namespace {
 struct ReplicationMetrics {
   Counter& plans_total;
   Counter& plans_infeasible;
+  Counter& plans_unproven;
 
   static ReplicationMetrics& get() {
     static ReplicationMetrics metrics{
         MetricsRegistry::global().counter("replication.plans.total"),
         MetricsRegistry::global().counter(
-            "replication.plans.infeasible.total")};
+            "replication.plans.infeasible.total"),
+        MetricsRegistry::global().counter(
+            "replication.plans.unproven.total")};
     return metrics;
   }
 };
@@ -48,11 +51,7 @@ ReplicatingScheduler::ReplicatingScheduler(
       config_(config) {
   FGCS_REQUIRE(service_ != nullptr);
   // Surface malformed planner bounds at construction, not first submission.
-  FGCS_REQUIRE(planner.target_availability >= 0.0 &&
-               planner.target_availability <= 1.0);
-  FGCS_REQUIRE(planner.max_replicas >= 1);
-  FGCS_REQUIRE(planner.fallback_replicas >= 1);
-  FGCS_REQUIRE(planner.exhaustive_pool >= 1 && planner.exhaustive_pool <= 20);
+  validate(planner);
 }
 
 std::vector<std::pair<double, Gateway*>> ReplicatingScheduler::rank_fleet(
@@ -100,6 +99,7 @@ ReplicatedOutcome ReplicatingScheduler::run_job(const GuestJobSpec& job,
     ReplicationPlan plan = plan_replicas(std::move(candidates), *planner_);
     ReplicationMetrics::get().plans_total.add();
     if (!plan.feasible) ReplicationMetrics::get().plans_infeasible.add();
+    if (!plan.optimal) ReplicationMetrics::get().plans_unproven.add();
     // Launch in TR order: plan.replicas is id-sorted (canonical), ranked is
     // TR-sorted — walk ranked and keep the planned ones.
     std::unordered_map<std::string, bool> planned;

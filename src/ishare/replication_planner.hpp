@@ -11,9 +11,9 @@
 // meets A. Per-machine TR comes from the paper's SMP predictor, batched
 // through the shared PredictionService by ReplicatingScheduler.
 //
-// Optimality contract (pinned by a brute-force differential over all 2^n
-// subsets in tests/ishare/replication_planner_test.cpp): among subsets of
-// size 1..max_replicas drawn from the candidate pool, plan_replicas returns
+// Optimality contract (pinned by brute-force differentials over every
+// subset in tests/ishare/replication_planner_test.cpp): among subsets of
+// size 1..max_replicas of the whole candidate list, plan_replicas returns
 // the best under the total order
 //
 //     total cost ASC  →  joint availability DESC  →  size ASC
@@ -21,12 +21,14 @@
 //
 // restricted to feasible subsets (joint availability ≥ A). The search is a
 // greedy-by-TR certificate (top-m prefixes, m = 1..max_replicas — the
-// availability-maximal set of each size, so it decides feasibility exactly)
-// plus bounded exhaustive refinement over the `exhaustive_pool` highest-TR
-// candidates; when the fleet fits in the pool the refinement IS the full
-// brute force, hence the differential. When no subset meets A the planner
-// falls back to fixed-degree (the `fallback_replicas` highest-TR machines)
-// and says so: `feasible = false, fallback = true`, with the achieved
+// availability-maximal set of each size, so it decides feasibility) seeding
+// one depth-first branch and bound over every candidate, which prunes on
+// cost and on the best reachable availability against that incumbent. The
+// search visits at most a fixed node budget; a plan whose search ran out of
+// budget is still the best set found (never worse than the certificate) and
+// says so with `optimal = false`. When no subset meets A the planner falls
+// back to fixed-degree (the `fallback_replicas` highest-TR machines) and
+// says so: `feasible = false, fallback = true`, with the achieved
 // availability reported — degraded mode is visible, never silent.
 //
 // Float determinism: joint availability and total cost are always
@@ -57,10 +59,11 @@ struct PlannerConfig {
   int max_replicas = 8;
   /// Fixed degree used when A is infeasible (>= 1, capped at fleet size).
   int fallback_replicas = 3;
-  /// Exhaustive refinement searches all subsets of the this-many highest-TR
-  /// candidates (1..20; 2^pool subsets, so 20 caps the work at ~1M sets).
-  int exhaustive_pool = 16;
 };
+
+/// Throws PreconditionError unless A lies in [0, 1] and both replica counts
+/// are >= 1.
+void validate(const PlannerConfig& config);
 
 struct ReplicationPlan {
   bool feasible = false;  ///< some subset met the target
@@ -69,8 +72,11 @@ struct ReplicationPlan {
   /// Joint availability of `replicas` (canonical-order product) — for a
   /// fallback plan this is the best the fallback set achieves, < target.
   double achieved_availability = 0.0;
-  double total_cost = 0.0;       ///< canonical-order sum over `replicas`
-  std::size_t pool_size = 0;     ///< candidates the exhaustive stage searched
+  double total_cost = 0.0;  ///< canonical-order sum over `replicas`
+  /// The search finished, so `replicas` is the best set under the plan
+  /// order (or no set meets the target). False when the node budget ran out
+  /// first: the plan is the best found, never worse than the certificate.
+  bool optimal = true;
   /// The chosen set, sorted by machine id (the canonical order).
   std::vector<ReplicaCandidate> replicas;
 };
@@ -81,8 +87,8 @@ double joint_availability(std::span<const ReplicaCandidate> replicas);
 
 /// Plans the cheapest replica set meeting `config.target_availability`.
 /// Throws PreconditionError on malformed input (TR outside [0, 1], negative
-/// or non-finite cost, bad config bounds). Empty candidate list yields an
-/// infeasible plan with no replicas.
+/// or non-finite cost, a config validate() rejects). Empty candidate list
+/// yields an infeasible plan with no replicas.
 ReplicationPlan plan_replicas(std::vector<ReplicaCandidate> candidates,
                               const PlannerConfig& config);
 

@@ -10,6 +10,14 @@
 
 namespace fgcs {
 
+namespace {
+/// User-input check: the PreconditionError carries only `message`, the
+/// text a tool prints, not this file's path and the failed expression.
+void require(bool ok, const std::string& message) {
+  if (!ok) throw PreconditionError(message);
+}
+}  // namespace
+
 ArgParser::ArgParser(int argc, const char* const* argv,
                      std::set<std::string> flag_names) {
   FGCS_REQUIRE(argc >= 1);
@@ -30,7 +38,7 @@ ArgParser::ArgParser(int argc, const char* const* argv,
       flags_.insert(name);
       continue;
     }
-    FGCS_REQUIRE_MSG(i + 1 < argc, "option --" + name + " needs a value");
+    require(i + 1 < argc, "option --" + name + " needs a value");
     values_[name] = argv[++i];
   }
 }
@@ -43,7 +51,7 @@ bool ArgParser::has(const std::string& name) const {
 std::string ArgParser::get(const std::string& name) const {
   consumed_.insert(name);
   const auto it = values_.find(name);
-  FGCS_REQUIRE_MSG(it != values_.end(), "missing required option --" + name);
+  require(it != values_.end(), "missing required option --" + name);
   return it->second;
 }
 
@@ -59,26 +67,25 @@ std::int64_t to_int(const std::string& name, const std::string& text) {
   char* end = nullptr;
   errno = 0;
   const long long value = std::strtoll(text.c_str(), &end, 10);
-  FGCS_REQUIRE_MSG(end != nullptr && *end == '\0' && !text.empty(),
-                   "option --" + name + " expects an integer, got '" + text + "'");
-  FGCS_REQUIRE_MSG(errno != ERANGE,
-                   "option --" + name + " is out of range: '" + text + "'");
+  require(end != nullptr && *end == '\0' && !text.empty(),
+          "option --" + name + " expects an integer, got '" + text + "'");
+  require(errno != ERANGE,
+          "option --" + name + " is out of range: '" + text + "'");
   return value;
 }
 
 std::int64_t in_range(const std::string& name, std::int64_t value,
                       std::int64_t lo, std::int64_t hi) {
-  FGCS_REQUIRE_MSG(lo <= value && value <= hi,
-                   "option --" + name + " must be in [" + std::to_string(lo) +
-                       ", " + std::to_string(hi) + "], got " +
-                       std::to_string(value));
+  require(lo <= value && value <= hi,
+          "option --" + name + " must be in [" + std::to_string(lo) + ", " +
+              std::to_string(hi) + "], got " + std::to_string(value));
   return value;
 }
 
 double to_double(const std::string& name, const std::string& text) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  FGCS_REQUIRE_MSG(
+  require(
       end != nullptr && *end == '\0' && !text.empty() && std::isfinite(value),
       "option --" + name + " expects a finite number, got '" + text + "'");
   return value;
@@ -119,9 +126,9 @@ double ArgParser::get_double_or(const std::string& name, double fallback) const 
 
 void ArgParser::check_all_consumed() const {
   for (const auto& [name, value] : values_)
-    FGCS_REQUIRE_MSG(consumed_.count(name) > 0, "unknown option --" + name);
+    require(consumed_.count(name) > 0, "unknown option --" + name);
   for (const auto& name : flags_)
-    FGCS_REQUIRE_MSG(consumed_.count(name) > 0, "unknown option --" + name);
+    require(consumed_.count(name) > 0, "unknown option --" + name);
 }
 
 std::int64_t parse_time_of_day(const std::string& text) {
@@ -129,11 +136,11 @@ std::int64_t parse_time_of_day(const std::string& text) {
   // %n records how far each form matched; it does not count as a field.
   const int fields = std::sscanf(text.c_str(), "%d:%d%n:%d%n", &hours,
                                  &minutes, &used, &seconds, &used);
-  FGCS_REQUIRE_MSG(fields >= 2 && static_cast<std::size_t>(used) == text.size(),
-                   "expected HH:MM or HH:MM:SS, got '" + text + "'");
-  FGCS_REQUIRE_MSG(hours >= 0 && hours < 24 && minutes >= 0 && minutes < 60 &&
-                       seconds >= 0 && seconds < 60,
-                   "time of day out of range: '" + text + "'");
+  require(fields >= 2 && static_cast<std::size_t>(used) == text.size(),
+          "expected HH:MM or HH:MM:SS, got '" + text + "'");
+  require(hours >= 0 && hours < 24 && minutes >= 0 && minutes < 60 &&
+              seconds >= 0 && seconds < 60,
+          "time of day out of range: '" + text + "'");
   return hours * kSecondsPerHour + minutes * kSecondsPerMinute + seconds;
 }
 
@@ -141,13 +148,13 @@ Endpoint parse_endpoint(const std::string& text) {
   const std::size_t colon = text.rfind(':');
   const std::string port =
       colon == std::string::npos ? "" : text.substr(colon + 1);
-  FGCS_REQUIRE_MSG(colon != std::string::npos && colon > 0 && !port.empty() &&
-                       port.size() <= 5 &&
-                       port.find_first_not_of("0123456789") == std::string::npos,
-                   "expected HOST:PORT, got '" + text + "'");
+  require(colon != std::string::npos && colon > 0 && !port.empty() &&
+              port.size() <= 5 &&
+              port.find_first_not_of("0123456789") == std::string::npos,
+          "expected HOST:PORT, got '" + text + "'");
   const int value = std::stoi(port);
-  FGCS_REQUIRE_MSG(1 <= value && value <= 65535,
-                   "port must be in [1, 65535], got '" + text + "'");
+  require(1 <= value && value <= 65535,
+          "port must be in [1, 65535], got '" + text + "'");
   return {text.substr(0, colon), static_cast<std::uint16_t>(value)};
 }
 

@@ -2,7 +2,9 @@
 //
 // Supports `--key value`, `--key=value` and boolean `--flag` options plus
 // bare positional arguments. Unknown options are an error (fail fast rather
-// than silently ignoring a typo).
+// than silently ignoring a typo). Malformed input throws PreconditionError
+// whose what() is only the message for the user (it names the option or
+// echoes the bad text), with no source location.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,12 @@
-// Brute-force differential for the availability-target planner: on fleets
+// Brute-force differentials for the availability-target planner: on fleets
 // small enough to enumerate (n <= 12, 4096 subsets), plan_replicas must
 // match an independent exhaustive search over ALL subsets — same
 // feasibility verdict, bit-identical cost and achieved availability, and
 // (the tie-break being total) the exact same machine set — across 500+
-// seeded random cases plus the degenerate corners.
+// seeded random cases plus the degenerate corners. Wider fleets (17–22 VMs,
+// where a cheap low-TR machine outside the 16 highest TRs often belongs to
+// the optimum) are checked against every combination of at most
+// max_replicas machines.
 //
 // Both sides accumulate cost and joint availability over the id-sorted set
 // (the planner's documented canonical order), so double equality here is
@@ -16,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -32,18 +36,47 @@ struct BruteResult {
   std::vector<std::string> ids;
 };
 
-/// All 2^n - 1 nonempty subsets of size <= max_replicas, best under
-/// (cost ASC, availability DESC, size ASC, id-list lex ASC) among those
-/// meeting the target. Metrics accumulate in id order.
-BruteResult brute_force(std::vector<ReplicaCandidate> fleet,
-                        const PlannerConfig& config) {
+/// Whether a feasible set beats `best` under (cost ASC, availability DESC,
+/// size ASC, id-list lex ASC).
+bool beats(const BruteResult& best, double cost, double availability,
+           const std::vector<std::string>& ids) {
+  if (!best.feasible) return true;
+  if (cost != best.cost) return cost < best.cost;
+  if (availability != best.availability)
+    return availability > best.availability;
+  if (ids.size() != best.ids.size()) return ids.size() < best.ids.size();
+  return std::lexicographical_compare(ids.begin(), ids.end(),
+                                      best.ids.begin(), best.ids.end());
+}
+
+std::vector<ReplicaCandidate> sorted_by_id(
+    std::vector<ReplicaCandidate> fleet) {
   std::sort(fleet.begin(), fleet.end(),
             [](const ReplicaCandidate& a, const ReplicaCandidate& b) {
               return a.machine_id < b.machine_id;
             });
+  return fleet;
+}
+
+/// The planner's ranking: TR descending, machine id ascending on ties.
+std::vector<ReplicaCandidate> ranked_by_tr(
+    std::vector<ReplicaCandidate> fleet) {
+  std::sort(fleet.begin(), fleet.end(),
+            [](const ReplicaCandidate& a, const ReplicaCandidate& b) {
+              if (a.tr != b.tr) return a.tr > b.tr;
+              return a.machine_id < b.machine_id;
+            });
+  return fleet;
+}
+
+/// All 2^n - 1 nonempty subsets of size <= max_replicas, best under the
+/// plan order among those meeting the target. Metrics accumulate in id
+/// order.
+BruteResult brute_force(std::vector<ReplicaCandidate> fleet,
+                        const PlannerConfig& config) {
+  fleet = sorted_by_id(std::move(fleet));
   const std::size_t n = fleet.size();
   BruteResult best;
-  std::vector<std::string> best_ids;
   for (std::uint32_t mask = 1; mask < (1u << n); ++mask) {
     const int bits = __builtin_popcount(mask);
     if (bits > config.max_replicas) continue;
@@ -58,25 +91,65 @@ BruteResult brute_force(std::vector<ReplicaCandidate> fleet,
     }
     const double availability = 1.0 - miss;
     if (availability < config.target_availability) continue;
-    bool better = false;
-    if (!best.feasible) {
-      better = true;
-    } else if (cost != best.cost) {
-      better = cost < best.cost;
-    } else if (availability != best.availability) {
-      better = availability > best.availability;
-    } else if (ids.size() != best.ids.size()) {
-      better = ids.size() < best.ids.size();
-    } else {
-      better = std::lexicographical_compare(ids.begin(), ids.end(),
-                                            best.ids.begin(), best.ids.end());
+    if (beats(best, cost, availability, ids))
+      best = {true, cost, availability, std::move(ids)};
+  }
+  return best;
+}
+
+/// Every combination of at most max_replicas machines, enumerated in id
+/// order with cost and miss product accumulated along the way (the
+/// canonical order): the brute force for fleets too wide for 2^n masks.
+struct CombinationBruteForce {
+  std::vector<ReplicaCandidate> fleet;
+  PlannerConfig config;
+  BruteResult best;
+  std::vector<std::string> ids;
+
+  void extend(std::size_t from, double cost, double miss) {
+    for (std::size_t i = from; i < fleet.size(); ++i) {
+      const double set_cost = cost + fleet[i].cost;
+      const double set_miss = miss * (1.0 - fleet[i].tr);
+      ids.push_back(fleet[i].machine_id);
+      const double availability = 1.0 - set_miss;
+      if (availability >= config.target_availability &&
+          beats(best, set_cost, availability, ids))
+        best = {true, set_cost, availability, ids};
+      if (ids.size() < static_cast<std::size_t>(config.max_replicas))
+        extend(i + 1, set_cost, set_miss);
+      ids.pop_back();
     }
-    if (better) {
-      best.feasible = true;
-      best.cost = cost;
-      best.availability = availability;
-      best.ids = std::move(ids);
+  }
+};
+
+BruteResult brute_force_combinations(std::vector<ReplicaCandidate> fleet,
+                                     const PlannerConfig& config) {
+  CombinationBruteForce search{sorted_by_id(std::move(fleet)), config, {}, {}};
+  search.extend(0, 0.0, 1.0);
+  return search.best;
+}
+
+/// The best set among the TR-ranked prefixes of size 1..max_replicas — the
+/// planner's first incumbent — or infeasible when no prefix meets A.
+BruteResult certificate(std::vector<ReplicaCandidate> fleet,
+                        const PlannerConfig& config) {
+  fleet = ranked_by_tr(std::move(fleet));
+  BruteResult best;
+  const std::size_t max_take = std::min<std::size_t>(
+      static_cast<std::size_t>(config.max_replicas), fleet.size());
+  for (std::size_t m = 1; m <= max_take; ++m) {
+    const std::vector<ReplicaCandidate> prefix = sorted_by_id(
+        {fleet.begin(), fleet.begin() + static_cast<std::ptrdiff_t>(m)});
+    double cost = 0.0;
+    std::vector<std::string> ids;
+    for (const ReplicaCandidate& replica : prefix) {
+      cost += replica.cost;
+      ids.push_back(replica.machine_id);
     }
+    const double availability = joint_availability(prefix);
+    if (availability >= config.target_availability &&
+        beats(best, cost, availability, ids))
+      best = {true, cost, availability, std::move(ids)};
   }
   return best;
 }
@@ -118,7 +191,6 @@ TEST(ReplicationPlannerDifferential, MatchesBruteForceOn520SeededFleets) {
     config.max_replicas = static_cast<int>(
         rng.uniform_int(1, static_cast<std::int64_t>(n) + 2));
     config.fallback_replicas = static_cast<int>(rng.uniform_int(1, 3));
-    config.exhaustive_pool = 16;  // >= n: refinement covers the whole fleet
 
     const BruteResult want = brute_force(fleet, config);
     const ReplicationPlan plan = plan_replicas(fleet, config);
@@ -161,6 +233,80 @@ TEST(ReplicationPlannerDifferential, MatchesBruteForceOn520SeededFleets) {
   // The mix must actually exercise both verdicts.
   EXPECT_GT(feasible_cases, 100);
   EXPECT_GT(fallback_cases, 20);
+}
+
+TEST(ReplicationPlannerDifferential, MatchesBruteForceOnSeededFleetsOf17To22) {
+  // Expensive machines are the reliable ones, so the 16 highest TRs skew
+  // expensive and the optimum often mixes in a cheap machine ranked below
+  // them — the sets a search confined to the top 16 could never return.
+  int feasible_cases = 0;
+  int beyond_top16 = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(0x9a11'1722u + seed);
+    const std::size_t n = 17 + seed % 6;
+    std::vector<ReplicaCandidate> fleet;
+    for (std::size_t i = 0; i < n; ++i) {
+      ReplicaCandidate candidate;
+      candidate.machine_id = (i < 10 ? "v0" : "v") + std::to_string(i);
+      candidate.cost = 0.25 * static_cast<double>(rng.uniform_int(1, 16));
+      candidate.tr =
+          std::min(0.99, rng.uniform(0.05, 0.5) + 0.12 * candidate.cost);
+      fleet.push_back(candidate);
+    }
+    for (std::size_t i = n; i > 1; --i)
+      std::swap(fleet[i - 1], fleet[static_cast<std::size_t>(
+                                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+
+    PlannerConfig config;
+    config.target_availability = rng.uniform(0.9, 0.9999);
+    config.max_replicas = static_cast<int>(rng.uniform_int(2, 5));
+    config.fallback_replicas = static_cast<int>(rng.uniform_int(1, 3));
+
+    const BruteResult want = brute_force_combinations(fleet, config);
+    const ReplicationPlan plan = plan_replicas(fleet, config);
+    EXPECT_TRUE(plan.optimal) << "seed " << seed;
+    ASSERT_EQ(plan.feasible, want.feasible) << "seed " << seed;
+    if (!want.feasible) continue;
+    ++feasible_cases;
+    EXPECT_EQ(plan.total_cost, want.cost) << "seed " << seed;
+    EXPECT_EQ(plan.achieved_availability, want.availability)
+        << "seed " << seed;
+    EXPECT_EQ(plan_ids(plan), want.ids) << "seed " << seed;
+
+    const std::vector<ReplicaCandidate> ranked = ranked_by_tr(fleet);
+    std::set<std::string> top16;
+    for (std::size_t i = 0; i < 16; ++i) top16.insert(ranked[i].machine_id);
+    beyond_top16 += std::any_of(want.ids.begin(), want.ids.end(),
+                                [&](const std::string& id) {
+                                  return top16.count(id) == 0;
+                                });
+  }
+  EXPECT_GT(feasible_cases, 40);
+  // The widened differential must actually reach past the old pool.
+  EXPECT_GT(beyond_top16, 10);
+}
+
+TEST(ReplicationPlannerTest, CheapLowTrMachineOutsideTheTop16JoinsTheOptimum) {
+  // Sixteen reliable machines at cost 1 and one cheap, flaky one ranked
+  // 17th by TR. Two reliable machines alone miss A = 0.95 (joint miss
+  // >= 1/16); three meet it at cost 3; two plus the cheap one meet it at
+  // cost 2.25 (joint miss ~1/32).
+  std::vector<ReplicaCandidate> fleet;
+  for (int i = 0; i < 16; ++i)
+    fleet.push_back({(i < 10 ? "p0" : "p") + std::to_string(i),
+                     0.75 - static_cast<double>(i) / 1024.0, 1.0});
+  fleet.push_back({"q", 0.5, 0.25});
+  PlannerConfig config;
+  config.target_availability = 0.95;
+  const ReplicationPlan plan = plan_replicas(fleet, config);
+  EXPECT_TRUE(plan.feasible);
+  EXPECT_TRUE(plan.optimal);
+  EXPECT_EQ(plan_ids(plan), (std::vector<std::string>{"p00", "p01", "q"}));
+  EXPECT_EQ(plan.total_cost, 2.25);
+  EXPECT_EQ(certificate(fleet, config).cost, 3.0);
+  const BruteResult want = brute_force_combinations(fleet, config);
+  EXPECT_EQ(plan_ids(plan), want.ids);
+  EXPECT_EQ(plan.achieved_availability, want.availability);
 }
 
 TEST(ReplicationPlannerTest, InfeasibleTargetFallsBackAndReports) {
@@ -253,22 +399,43 @@ TEST(ReplicationPlannerTest, EmptyFleetYieldsEmptyInfeasiblePlan) {
   EXPECT_EQ(plan.total_cost, 0.0);
 }
 
-TEST(ReplicationPlannerTest, FeasibilityDecidedBeyondTheExhaustivePool) {
-  // 18 identical-but-weak machines, pool of 4: no subset of 4 meets the
-  // target, but the greedy certificate must still find the size-6 prefix
-  // that does — feasibility never silently degrades to the pool.
+TEST(ReplicationPlannerTest, FeasibilityDecidedByTheWholeFleetSearch) {
+  // 18 identical-but-weak machines: no set of 5 meets the target, and the
+  // search over the whole fleet must still find a size-6 set that does.
   std::vector<ReplicaCandidate> fleet;
   for (int i = 0; i < 18; ++i)
     fleet.push_back({(i < 10 ? "h0" : "h") + std::to_string(i), 0.5, 1.0});
   PlannerConfig config;
   config.target_availability = 0.98;  // needs 6 machines at TR 0.5
   config.max_replicas = 8;
-  config.exhaustive_pool = 4;
   const ReplicationPlan plan = plan_replicas(fleet, config);
   EXPECT_TRUE(plan.feasible);
   EXPECT_EQ(plan.replicas.size(), 6u);
-  EXPECT_EQ(plan.pool_size, 4u);
   EXPECT_GE(plan.achieved_availability, config.target_availability);
+}
+
+TEST(ReplicationPlannerTest, BudgetExhaustionIsReportedNotSilent) {
+  // 48 equal-cost machines of one TR, with A set exactly where six of them
+  // land (1 − 0.5^6). Every 6-set ties on cost and availability, so only
+  // the id tie-break separates them and no bound can prune a tie: the
+  // C(48, 6) ≈ 12M sets overrun the node budget.
+  std::vector<ReplicaCandidate> fleet;
+  for (int i = 0; i < 48; ++i)
+    fleet.push_back({(i < 10 ? "e0" : "e") + std::to_string(i), 0.5, 1.0});
+  PlannerConfig config;
+  config.target_availability = 1.0 - 1.0 / 64.0;
+  config.max_replicas = 8;
+  const ReplicationPlan plan = plan_replicas(fleet, config);
+  EXPECT_TRUE(plan.feasible);
+  EXPECT_FALSE(plan.fallback);
+  EXPECT_FALSE(plan.optimal);
+  EXPECT_GE(plan.achieved_availability, config.target_availability);
+  // Never worse than the TR-prefix certificate under the plan order.
+  const BruteResult floor = certificate(fleet, config);
+  ASSERT_TRUE(floor.feasible);
+  EXPECT_TRUE(plan_ids(plan) == floor.ids ||
+              beats(floor, plan.total_cost, plan.achieved_availability,
+                    plan_ids(plan)));
 }
 
 TEST(ReplicationPlannerTest, ValidatesInput) {
@@ -285,9 +452,12 @@ TEST(ReplicationPlannerTest, ValidatesInput) {
   PlannerConfig bad_max;
   bad_max.max_replicas = 0;
   EXPECT_THROW(plan_replicas({{"x", 0.5, 1.0}}, bad_max), PreconditionError);
-  PlannerConfig bad_pool;
-  bad_pool.exhaustive_pool = 21;
-  EXPECT_THROW(plan_replicas({{"x", 0.5, 1.0}}, bad_pool), PreconditionError);
+  PlannerConfig bad_fallback;
+  bad_fallback.fallback_replicas = 0;
+  EXPECT_THROW(plan_replicas({{"x", 0.5, 1.0}}, bad_fallback),
+               PreconditionError);
+  EXPECT_THROW(validate(bad_fallback), PreconditionError);
+  EXPECT_NO_THROW(validate(PlannerConfig{}));
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 
 namespace fgcs {
 namespace {
@@ -97,12 +100,62 @@ TEST(ReplicationTest, MoreReplicasThanMachinesIsClamped) {
   EXPECT_EQ(outcome.replicas_started, 1);
 }
 
+TEST(ReplicationTest, PlannerCountsPlansItCouldNotProveOptimal) {
+  // 48 machines sharing one history that is down 09:30–10:30 every other
+  // day: every TR is 0.5, and A = 1 − 0.5^6 leaves C(48, 6) tied 6-sets —
+  // more than the planner's node budget.
+  std::vector<MachineTrace> traces;
+  for (int m = 0; m < 48; ++m) {
+    MachineTrace trace((m < 10 ? "m0" : "m") + std::to_string(m), Calendar(0),
+                       60, 512);
+    for (int d = 0; d < 8; ++d) {
+      std::vector<ResourceSample> day = constant_day(60, 5);
+      if (d % 2 == 1)
+        std::fill(day.begin() + 9 * 60 + 30, day.begin() + 10 * 60 + 30,
+                  sample(5, 400, false));
+      trace.append_day(day);
+    }
+    traces.push_back(std::move(trace));
+  }
+  const auto service = std::make_shared<PredictionService>();
+  std::vector<Gateway> gateways;
+  gateways.reserve(traces.size());
+  Registry registry;
+  for (const MachineTrace& trace : traces)
+    registry.publish(
+        gateways.emplace_back(trace, test::test_thresholds(), service));
+  PlannerConfig planner;
+  planner.target_availability = 1.0 - 1.0 / 64.0;
+  planner.max_replicas = 8;
+  const ReplicatingScheduler scheduler(registry, service, planner);
+
+  Counter& total = MetricsRegistry::global().counter("replication.plans.total");
+  Counter& unproven =
+      MetricsRegistry::global().counter("replication.plans.unproven.total");
+  const std::uint64_t total_before = total.value();
+  const std::uint64_t unproven_before = unproven.value();
+  const GuestJobSpec job{.job_id = "j", .cpu_seconds = 3600, .mem_mb = 64};
+  const SimTime submit = 8 * kSecondsPerDay + 9 * kSecondsPerHour;
+  const ReplicatedOutcome outcome =
+      scheduler.run_job(job, submit, submit + kSecondsPerDay);
+  ASSERT_TRUE(outcome.plan.has_value());
+  ASSERT_EQ(outcome.plan->replicas.front().tr, 0.5);
+  EXPECT_TRUE(outcome.plan->feasible);
+  EXPECT_EQ(outcome.plan->replicas.size(), 6u);
+  EXPECT_FALSE(outcome.plan->optimal);
+  EXPECT_EQ(total.value() - total_before, 1u);
+  EXPECT_EQ(unproven.value() - unproven_before, 1u);
+}
+
 TEST(ReplicationTest, ValidatesArguments) {
   const auto service = std::make_shared<PredictionService>();
   Registry registry;
   EXPECT_THROW(ReplicatingScheduler(registry, service, 0), PreconditionError);
   EXPECT_THROW(ReplicatingScheduler(registry, nullptr, 1), PreconditionError);
   EXPECT_THROW(ReplicatingScheduler(registry, nullptr, PlannerConfig{}),
+               PreconditionError);
+  EXPECT_THROW(ReplicatingScheduler(registry, service,
+                                    PlannerConfig{.max_replicas = 0}),
                PreconditionError);
   const ReplicatingScheduler scheduler(registry, service, 1);
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 600, .mem_mb = 64};

@@ -84,6 +84,55 @@ TEST(NetTools, MalformedValuesExitNonzeroNamingTheOption) {
   }
 }
 
+/// Writes `lines` as a batch file over one freshly generated trace (named
+/// by the TRACE placeholder) and runs `fgcs_predict --batch` on it.
+RunResult predict_batch_lines(const std::string& name,
+                              const std::vector<std::string>& lines) {
+  const fs::path dir = fs::current_path() / "net-tools-batch";
+  fs::create_directories(dir);
+  const std::string trace = (dir / "batchtool00.fgcs").string();
+  if (!fs::exists(trace)) {
+    const RunResult gen =
+        run(std::string(FGCS_GEN_BIN) + " --out " + dir.string() +
+            " --machines 1 --days 3 --seed 5 --period 60 --prefix batchtool");
+    if (gen.status != 0) return gen;
+  }
+  const fs::path batch = dir / name;
+  {
+    std::ofstream out(batch);
+    for (std::string line : lines) {
+      const std::size_t at = line.find("TRACE");
+      if (at != std::string::npos) line.replace(at, 5, trace);
+      out << line << "\n";
+    }
+  }
+  return run(std::string(FGCS_PREDICT_BIN) + " --batch " + batch.string());
+}
+
+TEST(NetTools, BatchDayWithTrailingTextFailsNamingTheLine) {
+  // Read by a lenient integer parse, "8x" would quietly predict day 8.
+  const RunResult result = predict_batch_lines(
+      "day-suffix.txt", {"# header", "TRACE 09:00 2", "TRACE 09:00 2 8x"});
+  EXPECT_NE(result.status, 0) << result.output;
+  EXPECT_NE(result.output.find("day-suffix.txt:3: expected a day number or "
+                               "S1/S2, got '8x'"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find(" TR "), std::string::npos) << result.output;
+}
+
+TEST(NetTools, BatchTimeOfDayErrorsKeepTheLineNumber) {
+  const RunResult result = predict_batch_lines(
+      "bad-time.txt", {"TRACE 09:00 2", "TRACE 9am 2"});
+  EXPECT_NE(result.status, 0) << result.output;
+  EXPECT_NE(result.output.find("bad-time.txt:2: expected HH:MM or HH:MM:SS, "
+                               "got '9am'"),
+            std::string::npos)
+      << result.output;
+  EXPECT_EQ(result.output.find("cli.cpp:"), std::string::npos)
+      << result.output;
+}
+
 TEST(NetTools, ConnectModeReportMatchesLocalBatchMode) {
   const fs::path dir = fs::current_path() / "net-tools-test";
   fs::create_directories(dir);

@@ -112,6 +112,21 @@ TEST(ArgParserTest, AllConsumedPasses) {
   EXPECT_NO_THROW(args.check_all_consumed());
 }
 
+TEST(ArgParserTest, InputErrorsCarryOnlyTheUserMessage) {
+  // Tools print what() as is: a bad value must read as advice to the user,
+  // not as a source location and the failed C++ expression.
+  const ArgParser args = parse({"prog", "--rate", "abc"}, {});
+  try {
+    args.get_double("rate");
+    FAIL() << "expected PreconditionError";
+  } catch (const PreconditionError& error) {
+    const std::string what = error.what();
+    EXPECT_EQ(what, "option --rate expects a finite number, got 'abc'");
+    EXPECT_EQ(what.find("cli.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.find("precondition failed"), std::string::npos) << what;
+  }
+}
+
 TEST(ParseTimeOfDayTest, Formats) {
   EXPECT_EQ(parse_time_of_day("08:30"), 8 * kSecondsPerHour + 1800);
   EXPECT_EQ(parse_time_of_day("23:59:59"), kSecondsPerDay - 1);

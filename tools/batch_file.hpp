@@ -11,6 +11,7 @@
 // give them stable MachineTrace addresses.
 #pragma once
 
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -31,7 +32,8 @@ struct BatchFile {
 };
 
 /// Parses `path`. Throws DataError on unreadable files or malformed lines
-/// (message carries file:line).
+/// (message carries file:line, including for a bad HH:MM or a day number
+/// with trailing text).
 inline BatchFile load_batch_file(const std::string& path) {
   std::ifstream file(path);
   if (!file) throw DataError("cannot open batch file " + path);
@@ -59,7 +61,11 @@ inline BatchFile load_batch_file(const std::string& path) {
     const MachineTrace& trace = it->second;
 
     PredictionRequest request;
-    request.window.start_of_day = parse_time_of_day(start);
+    try {
+      request.window.start_of_day = parse_time_of_day(start);
+    } catch (const PreconditionError& error) {
+      fail(error.what());
+    }
     request.window.length = hours * kSecondsPerHour;
     request.target_day = trace.day_count();
     const auto parse_state = [&](const std::string& token) {
@@ -73,11 +79,11 @@ inline BatchFile load_batch_file(const std::string& path) {
       if (token == "S1" || token == "S2") {
         request.initial_state = parse_state(token);
       } else {
-        try {
-          request.target_day = std::stoll(token);
-        } catch (const std::exception&) {
+        const char* const end = token.data() + token.size();
+        const auto [parsed_to, error] =
+            std::from_chars(token.data(), end, request.target_day);
+        if (error != std::errc() || parsed_to != end)
           fail("expected a day number or S1/S2, got '" + token + "'");
-        }
         if (fields >> token) request.initial_state = parse_state(token);
       }
     }

@@ -128,12 +128,11 @@ int main() {
       static_cast<unsigned long long>(stats.max_batch), hit_rate,
       1e3 * stats.estimate_seconds, 1e3 * stats.solve_seconds);
   std::printf(
-      "thread pool    : %u worker%s (%s), %llu tasks, %llu steals, "
+      "thread pool    : %u worker%s (%s), %llu tasks, "
       "queue high-water %llu, %.1f%% busy\n",
       stats.pool.workers, stats.pool.workers == 1 ? "" : "s",
       stats.pool.started ? "started" : "never started",
       static_cast<unsigned long long>(stats.pool.tasks_executed),
-      static_cast<unsigned long long>(stats.pool.steals),
       static_cast<unsigned long long>(stats.pool.queue_depth_high_water),
       100.0 * stats.pool.utilization());
 

@@ -191,8 +191,9 @@ Prediction PredictionService::predict(const MachineTrace& trace,
   return prediction;
 }
 
-std::vector<Prediction> PredictionService::predict_batch(
-    std::span<const BatchRequest> requests) {
+template <typename Result, typename PredictOne>
+std::vector<Result> PredictionService::run_batch(
+    std::span<const BatchRequest> requests, const PredictOne& predict_one) {
   TraceSpan span("service.batch", &batch_hist_);
   batches_.add();
   batch_requests_.add(requests.size());
@@ -201,38 +202,31 @@ std::vector<Prediction> PredictionService::predict_batch(
     FGCS_REQUIRE_MSG(request.trace != nullptr,
                      "batch request carries a null trace");
 
-  std::vector<Prediction> predictions(requests.size());
+  std::vector<Result> results(requests.size());
   parallel_for(
       requests.size(),
-      [&](std::size_t i) {
-        predictions[i] = predict(*requests[i].trace, requests[i].request);
-      },
+      [&](std::size_t i) { results[i] = predict_one(requests[i]); },
       config_.max_threads);
-  return predictions;
+  return results;
+}
+
+std::vector<Prediction> PredictionService::predict_batch(
+    std::span<const BatchRequest> requests) {
+  return run_batch<Prediction>(requests, [this](const BatchRequest& item) {
+    return predict(*item.trace, item.request);
+  });
 }
 
 std::vector<std::optional<Prediction>> PredictionService::try_predict_batch(
     std::span<const BatchRequest> requests) {
-  TraceSpan span("service.batch", &batch_hist_);
-  batches_.add();
-  batch_requests_.add(requests.size());
-  max_batch_.update_max(static_cast<double>(requests.size()));
-  for (const BatchRequest& request : requests)
-    FGCS_REQUIRE_MSG(request.trace != nullptr,
-                     "batch request carries a null trace");
-
-  std::vector<std::optional<Prediction>> predictions(requests.size());
-  parallel_for(
-      requests.size(),
-      [&](std::size_t i) {
+  return run_batch<std::optional<Prediction>>(
+      requests, [this](const BatchRequest& item) -> std::optional<Prediction> {
         try {
-          predictions[i] = predict(*requests[i].trace, requests[i].request);
+          return predict(*item.trace, item.request);
         } catch (const DataError&) {
-          // This machine stays nullopt; the rest of the batch proceeds.
+          return std::nullopt;  // this machine only; the batch proceeds
         }
-      },
-      config_.max_threads);
-  return predictions;
+      });
 }
 
 void PredictionService::invalidate(const std::string& machine_id) {

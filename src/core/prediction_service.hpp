@@ -121,10 +121,11 @@ class PredictionService {
   std::vector<Prediction> predict_batch(std::span<const BatchRequest> requests);
 
   /// Per-request-fallible batch: same fan-out, but a request whose
-  /// estimation fails (DataError — thin history, failpoint outage) yields
-  /// nullopt instead of aborting the whole batch. The fleet-probe primitive
-  /// for schedulers that skip unpredictable machines rather than re-probing
-  /// serially.
+  /// prediction throws DataError (an estimation outage, such as the
+  /// `service.estimate.fail` failpoint) yields nullopt instead of aborting
+  /// the whole batch; a PreconditionError still propagates. The fleet-probe
+  /// primitive for schedulers that skip unpredictable machines rather than
+  /// re-probing serially.
   std::vector<std::optional<Prediction>> try_predict_batch(
       std::span<const BatchRequest> requests);
 
@@ -177,6 +178,12 @@ class PredictionService {
 
   Shard& shard_for(const Key& key) const;
   std::uint64_t generation_of(const std::string& machine_id) const;
+  /// The one batch body behind predict_batch and try_predict_batch: span,
+  /// counters, null-trace check and fan-out; `predict_one(request)` gives
+  /// each result, aligned with `requests`.
+  template <typename Result, typename PredictOne>
+  std::vector<Result> run_batch(std::span<const BatchRequest> requests,
+                                const PredictOne& predict_one);
 
   ServiceConfig config_;
   SmpEstimator estimator_;

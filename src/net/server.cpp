@@ -18,6 +18,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -166,7 +167,14 @@ class PredictionServer::Reactor {
   void pump(Connection& conn);
   void dispatch_request(Connection& conn, std::span<const std::uint8_t> payload);
   void dispatch_append(Connection& conn, std::span<const std::uint8_t> payload);
+  /// Runs `job(node)` on the pool for `conn` and hands the node back
+  /// through the inbox; the job fills node.frame, and a throw becomes an
+  /// error frame. Marks `conn` busy until complete() sees the node.
+  template <typename Job>
+  void run_on_pool(Connection& conn, InboxNode::Kind kind, Job job);
   void complete(const InboxNode& node);
+  /// Counts an error and answers `conn` with an error frame.
+  void reject(Connection& conn, std::string_view message, bool retryable);
   void send_frame(Connection& conn, FrameType type,
                   std::span<const std::uint8_t> payload);
   void enqueue_bytes(Connection& conn, std::span<const std::uint8_t> bytes);
@@ -529,9 +537,7 @@ void PredictionServer::Reactor::pump(Connection& conn) {
         send_frame(conn, FrameType::kGossipAck, encode_gossip(ack));
       } catch (const std::exception& error) {
         // No agent attached or an undecodable table: semantic rejection.
-        errors_.add(1);
-        send_frame(conn, FrameType::kError,
-                   encode_error(error.what(), /*retryable=*/false));
+        reject(conn, error.what(), /*retryable=*/false);
       }
       continue;
     }
@@ -539,30 +545,21 @@ void PredictionServer::Reactor::pump(Connection& conn) {
         frame.type != FrameType::kAppendSamples) {
       // Only clients send responses/errors/acks; answer and keep the
       // connection — framing is still intact.
-      errors_.add(1);
-      send_frame(conn, FrameType::kError,
-                 encode_error("unexpected frame type on server",
-                              /*retryable=*/false));
+      reject(conn, "unexpected frame type on server", /*retryable=*/false);
       continue;
     }
     // Deterministically injectable "the bytes lied": treat this frame as
     // corrupt without decoding it. Evaluated once per received data frame
     // (request or append), in arrival order on the owning reactor.
     if (FGCS_FAILPOINT("net.frame.corrupt")) {
-      errors_.add(1);
-      send_frame(conn, FrameType::kError,
-                 encode_error("injected: net.frame.corrupt",
-                              /*retryable=*/true));
+      reject(conn, "injected: net.frame.corrupt", /*retryable=*/true);
       continue;
     }
     if (frame.type == FrameType::kAppendSamples) {
       if (!server_.config_.ingest) {
         // A serving-only fleet: appends are a client misconfiguration, not
         // transport trouble — reject without retry, keep the connection.
-        errors_.add(1);
-        send_frame(conn, FrameType::kError,
-                   encode_error("ingest is disabled on this server",
-                                /*retryable=*/false));
+        reject(conn, "ingest is disabled on this server", /*retryable=*/false);
         continue;
       }
       // Injected ingest backpressure: the batch is dropped before decoding,
@@ -571,19 +568,14 @@ void PredictionServer::Reactor::pump(Connection& conn) {
       // errors earn (the stream is still in sync). Evaluated once per
       // append frame, in arrival order on the owning reactor.
       if (FGCS_FAILPOINT("ingest.append.drop")) {
-        errors_.add(1);
-        send_frame(conn, FrameType::kError,
-                   encode_error("injected: ingest.append.drop",
-                                /*retryable=*/true));
+        reject(conn, "injected: ingest.append.drop", /*retryable=*/true);
         continue;
       }
       try {
         dispatch_append(conn, frame.payload);
       } catch (const std::exception& error) {
         // Undecodable append payload: same contract as a bad request.
-        errors_.add(1);
-        send_frame(conn, FrameType::kError,
-                   encode_error(error.what(), /*retryable=*/false));
+        reject(conn, error.what(), /*retryable=*/false);
       }
       continue;
     }
@@ -594,9 +586,7 @@ void PredictionServer::Reactor::pump(Connection& conn) {
       // the prediction stack rejected before dispatch: the *connection* is
       // fine, the request is not — and resending the same bytes cannot
       // change the outcome, so the error frame is marked non-retryable.
-      errors_.add(1);
-      send_frame(conn, FrameType::kError,
-                 encode_error(error.what(), /*retryable=*/false));
+      reject(conn, error.what(), /*retryable=*/false);
     }
   }
 }
@@ -626,51 +616,27 @@ void PredictionServer::Reactor::dispatch_request(
       }
     }
   }
-  auto* node = new InboxNode;
-  node->kind = InboxNode::Kind::kCompletion;
-  node->fd = conn.fd;
-  node->generation = conn.generation;
-  pending_tasks_.fetch_add(1, std::memory_order_acq_rel);
-  try {
-    ThreadPool::default_pool().submit(
-        [this, node, items = std::move(items)] {
-          try {
-            TraceSpan span("net.request", &request_hist_);
-            // Resolved here, off the event loop (a first read may load a
-            // file), and pinned for the batch: a day close or an eviction
-            // swaps the store's pointer, never frees a trace in use.
-            std::vector<std::shared_ptr<const MachineTrace>> pins;
-            std::vector<BatchRequest> batch;
-            pins.reserve(items.size());
-            batch.reserve(items.size());
-            for (const WireRequestItem& item : items) {
-              pins.push_back(server_.store_->load(item.machine_key));
-              batch.push_back(BatchRequest{.trace = pins.back().get(),
-                                           .request = item.request});
-            }
-            const std::vector<Prediction> results =
-                server_.service_->predict_batch(batch);
-            node->predictions = results.size();
-            node->frame =
-                encode_frame(FrameType::kResponse, encode_response(results));
-          } catch (const std::exception& error) {
-            node->is_error = true;
-            node->frame = encode_frame(
-                FrameType::kError,
-                encode_error(error.what(), /*retryable=*/false));
-          }
-          // Push before dropping pending_tasks_: shutdown() reclaims the
-          // inbox only after the counter drains to zero.
-          inbox_.push(node);
-          wake();
-          pending_tasks_.fetch_sub(1, std::memory_order_release);
-        });
-  } catch (...) {
-    pending_tasks_.fetch_sub(1, std::memory_order_release);
-    delete node;
-    throw;
-  }
-  conn.busy = true;
+  run_on_pool(conn, InboxNode::Kind::kCompletion,
+              [this, items = std::move(items)](InboxNode& node) {
+                TraceSpan span("net.request", &request_hist_);
+                // Resolved here, off the event loop (a first read may load a
+                // file), and pinned for the batch: a day close or an eviction
+                // swaps the store's pointer, never frees a trace in use.
+                std::vector<std::shared_ptr<const MachineTrace>> pins;
+                std::vector<BatchRequest> batch;
+                pins.reserve(items.size());
+                batch.reserve(items.size());
+                for (const WireRequestItem& item : items) {
+                  pins.push_back(server_.store_->load(item.machine_key));
+                  batch.push_back(BatchRequest{.trace = pins.back().get(),
+                                               .request = item.request});
+                }
+                const std::vector<Prediction> results =
+                    server_.service_->predict_batch(batch);
+                node.predictions = results.size();
+                node.frame = encode_frame(FrameType::kResponse,
+                                          encode_response(results));
+              });
 }
 
 void PredictionServer::Reactor::dispatch_append(
@@ -678,48 +644,58 @@ void PredictionServer::Reactor::dispatch_append(
   // Decode on the reactor (so malformed payloads answer synchronously, like
   // requests), run the store append on the pool (a day-close copies the
   // whole history — never on the event loop), ack through the inbox.
-  WireAppendRequest request = decode_append(payload);
+  run_on_pool(conn, InboxNode::Kind::kAppendDone,
+              [this, request = decode_append(payload)](InboxNode& node) {
+                const MachineSpec spec{
+                    .machine_id = request.machine_id,
+                    .epoch_day_of_week = request.epoch_day_of_week,
+                    .sampling_period = request.sampling_period,
+                    .total_mem_mb = static_cast<int>(request.total_mem_mb)};
+                node.appended = server_.store_->append(
+                    spec, request.first_sample_index, request.samples);
+                const WireAppendAck ack{
+                    .accepted = node.appended.accepted,
+                    .duplicates = node.appended.duplicates,
+                    .next_index = node.appended.next_index,
+                    .days_closed = node.appended.days_closed,
+                    .days_retired = node.appended.days_retired,
+                    .generation = server_.service_->history_generation(
+                        request.machine_id)};
+                node.frame = encode_frame(FrameType::kAppendAck,
+                                          encode_append_ack(ack));
+              });
+}
+
+template <typename Job>
+void PredictionServer::Reactor::run_on_pool(Connection& conn,
+                                            InboxNode::Kind kind, Job job) {
   auto* node = new InboxNode;
-  node->kind = InboxNode::Kind::kAppendDone;
+  node->kind = kind;
   node->fd = conn.fd;
   node->generation = conn.generation;
   pending_tasks_.fetch_add(1, std::memory_order_acq_rel);
   try {
-    ThreadPool::default_pool().submit([this, node,
-                                       request = std::move(request)] {
+    ThreadPool::default_pool().submit([this, node, job = std::move(job)] {
+      const auto fail = [node](const std::exception& error, bool retryable) {
+        node->is_error = true;
+        node->frame = encode_frame(FrameType::kError,
+                                   encode_error(error.what(), retryable));
+      };
       try {
-        const MachineSpec spec{
-            .machine_id = request.machine_id,
-            .epoch_day_of_week = request.epoch_day_of_week,
-            .sampling_period = request.sampling_period,
-            .total_mem_mb = static_cast<int>(request.total_mem_mb)};
-        const AppendResult result = server_.store_->append(
-            spec, request.first_sample_index, request.samples);
-        node->appended = result;
-        const WireAppendAck ack{
-            .accepted = result.accepted,
-            .duplicates = result.duplicates,
-            .next_index = result.next_index,
-            .days_closed = result.days_closed,
-            .days_retired = result.days_retired,
-            .generation =
-                server_.service_->history_generation(request.machine_id)};
-        node->frame =
-            encode_frame(FrameType::kAppendAck, encode_append_ack(ack));
+        job(*node);
       } catch (const RollupError& error) {
         // Injected rollup failure: the store kept the batch's earlier
         // samples and the day buffer intact, so a client retry of the same
         // bytes dedups the overlap and resumes the close — retryable, and
         // the connection stays up (framing never desynced).
-        node->is_error = true;
-        node->frame = encode_frame(
-            FrameType::kError, encode_error(error.what(), /*retryable=*/true));
+        fail(error, /*retryable=*/true);
       } catch (const std::exception& error) {
-        // Spec mismatch, index gap: semantic rejection a retry cannot fix.
-        node->is_error = true;
-        node->frame = encode_frame(
-            FrameType::kError, encode_error(error.what(), /*retryable=*/false));
+        // Unknown machine, spec mismatch, index gap: semantic rejection a
+        // retry cannot fix.
+        fail(error, /*retryable=*/false);
       }
+      // Push before dropping pending_tasks_: shutdown() reclaims the inbox
+      // only after the counter drains to zero.
       inbox_.push(node);
       wake();
       pending_tasks_.fetch_sub(1, std::memory_order_release);
@@ -755,6 +731,13 @@ void PredictionServer::Reactor::complete(const InboxNode& node) {
   }
   enqueue_bytes(conn, node.frame);
   pump(conn);
+}
+
+void PredictionServer::Reactor::reject(Connection& conn,
+                                       std::string_view message,
+                                       bool retryable) {
+  errors_.add(1);
+  send_frame(conn, FrameType::kError, encode_error(message, retryable));
 }
 
 void PredictionServer::Reactor::send_frame(

@@ -1,11 +1,11 @@
 // Shared-memory parallel helpers.
 //
-// parallel_for runs an index range on the process-wide persistent
-// work-stealing pool (util/thread_pool.hpp): workers are spawned once and
-// reused across calls, and the range is claimed in small dynamic chunks, so
-// repeated fan-outs — a prediction service probing the fleet per job
-// placement, a generator building 20 machines × 91 days of traces — pay no
-// thread spawn/teardown per call and one slow index stalls only its chunk.
+// parallel_for runs an index range on the process-wide persistent pool
+// (util/thread_pool.hpp): workers are spawned once and reused across calls,
+// and the range is claimed in small dynamic chunks, so repeated fan-outs —
+// a prediction service probing the fleet per job placement, a generator
+// building 20 machines × 91 days of traces — pay no thread spawn/teardown
+// per call and one slow index stalls only its chunk.
 // With an effective width of one (single-core host, or max_threads = 1) the
 // loop degrades to the serial loop in index order with no thread activity.
 //

@@ -1,41 +1,23 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
-#include <string>
+#include <system_error>
 
 namespace fgcs {
 
-namespace {
-
-/// The pool (and worker slot) the current thread belongs to, so submissions
-/// from inside a task land on the submitter's own deque.
-struct WorkerIdentity {
-  ThreadPool* pool = nullptr;
-  std::size_t index = 0;
-};
-thread_local WorkerIdentity tls_worker;
-
-void fetch_max(std::atomic<std::uint64_t>& target, std::uint64_t value) {
-  std::uint64_t previous = target.load(std::memory_order_relaxed);
-  while (previous < value &&
-         !target.compare_exchange_weak(previous, value,
-                                       std::memory_order_relaxed)) {
-  }
+unsigned parse_thread_count(const char* text, unsigned fallback) {
+  if (text == nullptr) return fallback;
+  const char* const end = text + std::strlen(text);
+  unsigned value = 0;
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error != std::errc{} || stop != end || value == 0 || value > 512)
+    return fallback;
+  return value;
 }
-
-/// Environment knob in [1, 512]; `fallback` when unset or unparsable.
-unsigned env_thread_count(const char* name, unsigned fallback) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || *text == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || value == 0) return fallback;
-  return static_cast<unsigned>(std::min<unsigned long>(value, 512));
-}
-
-}  // namespace
 
 double PoolStats::utilization() const {
   if (!started || workers == 0 || wall_seconds <= 0.0) return 0.0;
@@ -45,15 +27,14 @@ double PoolStats::utilization() const {
 ThreadPool::ThreadPool(unsigned workers)
     : worker_target_(workers == 0
                          ? std::max(1u, std::thread::hardware_concurrency())
-                         : workers),
-      queues_(std::make_unique<Worker[]>(worker_target_)) {}
+                         : workers) {}
 
 ThreadPool::~ThreadPool() {
   {
-    const std::lock_guard<std::mutex> lock(wake_mutex_);
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
     shutdown_ = true;
   }
-  wake_cv_.notify_all();
+  queue_cv_.notify_all();
   for (std::thread& thread : threads_) thread.join();
 }
 
@@ -63,73 +44,32 @@ void ThreadPool::ensure_started() {
   if (started_.load(std::memory_order_relaxed)) return;
   start_time_ = std::chrono::steady_clock::now();
   threads_.reserve(worker_target_);
-  for (std::size_t w = 0; w < worker_target_; ++w)
-    threads_.emplace_back([this, w] { worker_main(w); });
+  for (unsigned w = 0; w < worker_target_; ++w)
+    threads_.emplace_back([this] { worker_main(); });
   started_.store(true, std::memory_order_release);
 }
 
 void ThreadPool::enqueue(std::function<void()> task) {
   ensure_started();
-  std::size_t target;
-  if (tls_worker.pool == this) {
-    target = tls_worker.index;
-  } else {
-    target = round_robin_.fetch_add(1, std::memory_order_relaxed) %
-             worker_target_;
-  }
   {
-    const std::lock_guard<std::mutex> lock(queues_[target].mutex);
-    queues_[target].tasks.push_back(std::move(task));
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    tasks_.push_back(std::move(task));
+    submitted_.fetch_add(1, std::memory_order_relaxed);
+    if (tasks_.size() > high_water_.load(std::memory_order_relaxed))
+      high_water_.store(tasks_.size(), std::memory_order_relaxed);
   }
-  const std::size_t depth = pending_.fetch_add(1, std::memory_order_relaxed) + 1;
-  fetch_max(high_water_, depth);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  {
-    // Empty critical section: pairs with the worker's predicate check so a
-    // worker observing pending_ == 0 is guaranteed to receive the notify.
-    const std::lock_guard<std::mutex> lock(wake_mutex_);
-  }
-  wake_cv_.notify_one();
+  queue_cv_.notify_one();
 }
 
-std::function<void()> ThreadPool::take_task(std::size_t index) {
-  {
-    Worker& own = queues_[index];
-    const std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      // Own work newest-first: the task most likely still warm in cache.
-      std::function<void()> task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  for (std::size_t step = 1; step < worker_target_; ++step) {
-    Worker& victim = queues_[(index + step) % worker_target_];
-    const std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      // Steal oldest-first: the task the victim is furthest from running.
-      std::function<void()> task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void ThreadPool::worker_main(std::size_t index) {
-  tls_worker = {this, index};
+void ThreadPool::worker_main() {
   for (;;) {
-    std::function<void()> task = take_task(index);
-    if (!task) {
-      std::unique_lock<std::mutex> lock(wake_mutex_);
-      wake_cv_.wait(lock, [this] {
-        return pending_.load(std::memory_order_relaxed) > 0 || shutdown_;
-      });
-      if (shutdown_ && pending_.load(std::memory_order_relaxed) == 0) return;
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(queue_mutex_);
+      queue_cv_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // shut down, and every task has run
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
     const auto t0 = std::chrono::steady_clock::now();
     task();
@@ -229,7 +169,6 @@ PoolStats ThreadPool::stats() const {
   stats.started = started_.load(std::memory_order_acquire);
   stats.tasks_submitted = submitted_.load(std::memory_order_relaxed);
   stats.tasks_executed = executed_.load(std::memory_order_relaxed);
-  stats.steals = steals_.load(std::memory_order_relaxed);
   stats.parallel_fors = parallel_fors_.load(std::memory_order_relaxed);
   stats.queue_depth_high_water = high_water_.load(std::memory_order_relaxed);
   stats.busy_seconds =
@@ -256,8 +195,6 @@ void ThreadPool::attach_metrics(MetricsRegistry& registry) {
   metrics_attachments_.push_back(registry.attach_callback(
       "pool.tasks_executed.total", Kind::kCounter, count_of(executed_)));
   metrics_attachments_.push_back(registry.attach_callback(
-      "pool.steals.total", Kind::kCounter, count_of(steals_)));
-  metrics_attachments_.push_back(registry.attach_callback(
       "pool.parallel_fors.total", Kind::kCounter, count_of(parallel_fors_)));
   metrics_attachments_.push_back(registry.attach_callback(
       "pool.queue_depth.high_water", Kind::kGauge, count_of(high_water_)));
@@ -275,8 +212,9 @@ void ThreadPool::attach_metrics(MetricsRegistry& registry) {
 ThreadPool& ThreadPool::default_pool() {
   // FGCS_THREADS pins the worker count, else hardware_concurrency. Read
   // once — the pool outlives any knob change.
-  static ThreadPool pool(env_thread_count(
-      "FGCS_THREADS", std::max(1u, std::thread::hardware_concurrency())));
+  static ThreadPool pool(parse_thread_count(
+      std::getenv("FGCS_THREADS"),
+      std::max(1u, std::thread::hardware_concurrency())));
   static const bool attached =
       (pool.attach_metrics(MetricsRegistry::global()), true);
   (void)attached;

@@ -1,22 +1,13 @@
-// Persistent work-stealing thread pool — the execution substrate under
-// parallel_for and every fan-out in the serving stack.
+// Persistent thread pool — the execution substrate under parallel_for and
+// every fan-out in the serving stack.
 //
-// The original parallel_for created and joined fresh std::threads on every
-// call, so the hottest serving path (PredictionService::predict_batch, probed
-// once per job placement) paid thread spawn/teardown per batch, and static
-// chunking stalled whole chunks behind one slow index. ThreadPool fixes both:
-// workers are spawned once (lazily, on first parallel work) and live for the
-// pool's lifetime, and index ranges are claimed in small dynamic chunks so a
-// cache miss on one index only delays its chunk, not a fixed 1/Nth of the
-// range.
-//
-// Structure: one deque of tasks per worker, each guarded by its own mutex.
-// submit() pushes to the calling worker's own deque (when called from inside
-// the pool) or round-robins across workers; an idle worker first drains its
-// own deque (LIFO, for locality), then steals the oldest task from a sibling
-// (FIFO, for fairness). Sleeping workers park on a condition variable and are
-// woken per submission. All shared state is guarded by mutexes or atomics —
-// the pool is TSan-clean by construction, and the TSan CI job runs its tests.
+// Workers are spawned once (lazily, on first parallel work) and live for the
+// pool's lifetime. They take tasks from one mutex-guarded FIFO queue and park
+// on one condition variable when it is empty, so tasks start in submission
+// order and, under a backlog, the oldest task runs first. Load balancing is
+// for_each_index's job, not the queue's: a loop's helpers claim small chunks
+// from one shared counter, so any idle worker that picks up a helper joins
+// the range, and one slow index only delays its chunk.
 //
 // for_each_index (the engine behind parallel_for) lets the *calling* thread
 // participate: the caller claims and runs chunks alongside the pool's
@@ -33,7 +24,7 @@
 // Workers are only ever started when a call actually goes parallel; purely
 // serial programs stay single-threaded.
 //
-// Observability: PoolStats snapshots tasks submitted/executed, steals, the
+// Observability: PoolStats snapshots tasks submitted/executed, the
 // queue-depth high-water mark, and cumulative worker busy time; utilization()
 // relates busy time to wall time since the workers started. The snapshot is
 // wired into ServiceStats so serving binaries can report it.
@@ -64,7 +55,9 @@ struct PoolStats {
   bool started = false;             ///< workers actually spawned yet?
   std::uint64_t tasks_submitted = 0;///< tasks enqueued (submit + loop helpers)
   std::uint64_t tasks_executed = 0; ///< tasks a worker finished running
-  std::uint64_t steals = 0;         ///< tasks taken from a sibling's deque
+  /// Always 0: the one FIFO queue has nothing to steal from. Kept because
+  /// the serving benchmark still reports a per-layer `pool.steals`.
+  std::uint64_t steals = 0;
   std::uint64_t parallel_fors = 0;  ///< for_each_index calls that went wide
   std::uint64_t queue_depth_high_water = 0;  ///< max tasks queued at once
   double busy_seconds = 0.0;        ///< cumulative worker time spent in tasks
@@ -74,6 +67,11 @@ struct PoolStats {
   /// workers have not started.
   double utilization() const;
 };
+
+/// Reads an FGCS_THREADS value: a string of decimal digits in [1, 512].
+/// Anything else — null, empty, a sign, whitespace, trailing text, zero or
+/// out of range — gives `fallback`.
+unsigned parse_thread_count(const char* text, unsigned fallback);
 
 class ThreadPool {
  public:
@@ -127,34 +125,24 @@ class ThreadPool {
   static ThreadPool& default_pool();
 
  private:
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
   void enqueue(std::function<void()> task);
   void ensure_started();
-  void worker_main(std::size_t index);
-  /// Pops from the worker's own deque, stealing from siblings when empty.
-  std::function<void()> take_task(std::size_t index);
+  void worker_main();
 
   unsigned worker_target_;
-  std::unique_ptr<Worker[]> queues_;
   std::vector<std::thread> threads_;
 
   std::mutex start_mutex_;
   std::atomic<bool> started_{false};
   std::chrono::steady_clock::time_point start_time_{};
 
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
-  bool shutdown_ = false;          // guarded by wake_mutex_
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> round_robin_{0};
+  std::mutex queue_mutex_;
+  std::condition_variable queue_cv_;
+  std::deque<std::function<void()>> tasks_;  // guarded by queue_mutex_
+  bool shutdown_ = false;                    // guarded by queue_mutex_
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint64_t> parallel_fors_{0};
   std::atomic<std::uint64_t> high_water_{0};
   std::atomic<std::uint64_t> busy_nanos_{0};

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/predictor.hpp"
 #include "test_support.hpp"
+#include "util/error.hpp"
+#include "util/failpoint.hpp"
 #include "workload/trace_generator.hpp"
 
 namespace fgcs {
@@ -307,6 +312,47 @@ TEST(PredictionServiceTest, RejectsNullTraceInBatch) {
   PredictionService service;
   const std::vector<BatchRequest> requests(1);
   EXPECT_THROW(service.predict_batch(requests), PreconditionError);
+  // A broken precondition is the caller's bug, never a skippable machine.
+  EXPECT_THROW(service.try_predict_batch(requests), PreconditionError);
+  const MachineTrace trace = flaky_trace("m1");
+  const std::vector<BatchRequest> beyond_history{
+      {.trace = &trace,
+       .request = {.target_day = trace.day_count() + 1,
+                   .window = morning_window()}}};
+  EXPECT_THROW(service.try_predict_batch(beyond_history), PreconditionError);
+}
+
+TEST(PredictionServiceTest, TryBatchSkipsOnlyTheMachineWhoseEstimateFails) {
+  const MachineTrace a = flaky_trace("a");
+  const MachineTrace b = flaky_trace("b");
+  const MachineTrace c = flaky_trace("c");
+  const PredictionRequest request{.target_day = a.day_count(),
+                                  .window = morning_window()};
+  const std::vector<BatchRequest> batch{{.trace = &a, .request = request},
+                                        {.trace = &b, .request = request},
+                                        {.trace = &c, .request = request}};
+  // Serial, so the second evaluation of the point is the second item.
+  PredictionService service(ServiceConfig{.max_threads = 1});
+  const AvailabilityPredictor predictor(service.config().estimator);
+  Failpoints::instance().arm_from_spec("service.estimate.fail=every:2");
+  const std::vector<std::optional<Prediction>> tried =
+      service.try_predict_batch(batch);
+  Failpoints::instance().arm_from_spec("service.estimate.fail=every:2");
+  EXPECT_THROW(service.predict_batch(batch), DataError);
+  Failpoints::instance().reset();
+
+  ASSERT_EQ(tried.size(), 3u);
+  EXPECT_FALSE(tried[1].has_value());
+  for (const std::size_t i : {0u, 2u}) {
+    ASSERT_TRUE(tried[i].has_value()) << i;
+    const Prediction direct = predictor.predict(*batch[i].trace, request);
+    expect_identical(direct, *tried[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(direct.temporal_reliability),
+              std::bit_cast<std::uint64_t>(tried[i]->temporal_reliability));
+    for (std::size_t k = 0; k < direct.p_absorb.size(); ++k)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(direct.p_absorb[k]),
+                std::bit_cast<std::uint64_t>(tried[i]->p_absorb[k]));
+  }
 }
 
 }  // namespace

@@ -34,6 +34,39 @@ TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
   EXPECT_THROW(result.get(), std::runtime_error);
 }
 
+TEST(ThreadPoolTest, QueuedSubmitsRunInSubmissionOrder) {
+  // Hold the only worker, queue five tasks behind it, then release it: a
+  // FIFO runs them oldest first.
+  ThreadPool pool(1);
+  std::promise<void> running;
+  std::promise<void> release;
+  std::future<void> blocker = pool.submit(
+      [&running, gate = release.get_future()] {
+        running.set_value();
+        gate.wait();
+      });
+  running.get_future().wait();
+  std::vector<int> order;
+  std::vector<std::future<void>> futures;
+  for (int t = 0; t < 5; ++t)
+    futures.push_back(pool.submit([&order, t] { order.push_back(t); }));
+  release.set_value();
+  blocker.get();
+  for (std::future<void>& f : futures) f.get();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolTest, ThreadCountParseIsStrict) {
+  EXPECT_EQ(parse_thread_count("4", 7), 4u);
+  EXPECT_EQ(parse_thread_count("1", 7), 1u);
+  EXPECT_EQ(parse_thread_count("512", 7), 512u);
+  EXPECT_EQ(parse_thread_count("0007", 3), 7u);
+  for (const char* bad : {"", "0", "513", "-1", "+4", " 4", "4 ", "4abc",
+                          "abc", "0x10", "99999999999999999999"})
+    EXPECT_EQ(parse_thread_count(bad, 7), 7u) << '"' << bad << '"';
+  EXPECT_EQ(parse_thread_count(nullptr, 7), 7u);
+}
+
 TEST(ThreadPoolTest, ManyQueuedSubmitsAllExecute) {
   ThreadPool pool(2);
   constexpr int kTasks = 500;
@@ -47,8 +80,8 @@ TEST(ThreadPoolTest, ManyQueuedSubmitsAllExecute) {
 }
 
 TEST(ThreadPoolTest, OversubscribedRangeVisitsEveryIndexOnce) {
-  // Far more indices than workers: chunk claiming + stealing must still
-  // cover the range exactly once.
+  // Far more indices than workers: chunk claiming must still cover the
+  // range exactly once.
   ThreadPool pool(2);
   constexpr std::size_t kCount = 10000;
   std::vector<std::atomic<int>> visits(kCount);
@@ -151,6 +184,7 @@ TEST(ThreadPoolTest, StatsReflectActivity) {
   EXPECT_GE(after.tasks_submitted, 1u);
   EXPECT_LE(after.tasks_executed, after.tasks_submitted);
   EXPECT_GE(after.queue_depth_high_water, 1u);
+  EXPECT_EQ(after.steals, 0u);
   EXPECT_GE(after.utilization(), 0.0);
   EXPECT_LE(after.utilization(), 1.0);
 }

@@ -118,12 +118,11 @@ int run_batch(const fgcs::ArgParser& args) {
               static_cast<unsigned long long>(stats.misses),
               static_cast<unsigned long long>(stats.hits),
               1e3 * stats.estimate_seconds, 1e3 * stats.solve_seconds);
-  std::printf("# pool: %u workers (%s), %llu tasks, %llu steals, "
+  std::printf("# pool: %u workers (%s), %llu tasks, "
               "queue high-water %llu, %.1f%% busy\n",
               stats.pool.workers,
               stats.pool.started ? "started" : "never started",
               static_cast<unsigned long long>(stats.pool.tasks_executed),
-              static_cast<unsigned long long>(stats.pool.steals),
               static_cast<unsigned long long>(stats.pool.queue_depth_high_water),
               100.0 * stats.pool.utilization());
   if (want_metrics) {

@@ -12,22 +12,6 @@ using namespace fgcs;
 
 namespace {
 
-/// TR prediction with an explicit training-day list.
-double predict_with_days(const MachineTrace& trace,
-                         std::span<const std::int64_t> days,
-                         const TimeWindow& window,
-                         const EstimatorConfig& config) {
-  const SmpEstimator estimator(config);
-  const TransitionCounts counts =
-      estimator.count_transitions(trace, days, window);
-  const SmpModel model = estimator.build_model(counts);
-  const SparseTrSolver solver(model);
-  const State init = counts.majority_initial_state();
-  const std::size_t steps = window.steps(trace.sampling_period());
-  return solver.solve(is_available(init) ? init : State::kS1, steps)
-      .temporal_reliability;
-}
-
 std::vector<std::int64_t> last_n(std::vector<std::int64_t> days, std::size_t n) {
   if (days.size() > n)
     days.erase(days.begin(), days.end() - static_cast<std::ptrdiff_t>(n));
@@ -39,6 +23,7 @@ std::vector<std::int64_t> last_n(std::vector<std::int64_t> days, std::size_t n) 
 int main() {
   const std::vector<MachineTrace> fleet = bench::lab_fleet(4);
   const EstimatorConfig config = bench::bench_estimator_config();
+  const AvailabilityPredictor predictor(config);
   const StateClassifier classifier(config.thresholds, bench::kPeriod);
 
   for (const DayType target_type : {DayType::kWeekend, DayType::kWeekday}) {
@@ -84,8 +69,11 @@ int main() {
             training = last_n(std::move(training), config.training_days);
             if (training.empty()) continue;
 
-            const double predicted =
-                predict_with_days(trace, training, window, config);
+            // The served path over an explicit training-day list, from
+            // the majority initial state.
+            const double predicted = predictor.answer(trace, training, window)
+                                         .for_request({})
+                                         .temporal_reliability;
             const EmpiricalTr emp =
                 empirical_tr(trace, test_days, window, classifier);
             if (!emp.tr || *emp.tr <= 0.0) continue;

@@ -75,7 +75,8 @@ int main() {
                    std::to_string(errors.count()), Table::num(ms, 2)});
   }
   table.print(std::cout);
-  std::cout << "(coarser d cuts the O((T/d)^2) solve cost quadratically with "
-               "little accuracy impact — the paper's §4.1 tuning claim)\n";
+  std::cout << "(coarser d cuts the solve cost — O((T/d)·k) for the served "
+               "curve build, O((T/d)^2) for the paper's recursion — with "
+               "little accuracy impact: the paper's §4.1 tuning claim)\n";
   return 0;
 }

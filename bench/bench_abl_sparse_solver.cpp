@@ -96,8 +96,7 @@ void BM_DenseSolver(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 
-bool same_bits(const SparseTrSolver::Result& a,
-               const SparseTrSolver::Result& b) {
+bool same_bits(const TrResult& a, const TrResult& b) {
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   if (bits(a.temporal_reliability) != bits(b.temporal_reliability))
     return false;
@@ -137,12 +136,11 @@ bool verify_equivalence() {
     const SmpModel uniform = estimate_a2(t_max, 1.0);
     const SparseTrSolver uniform_solver(uniform);
     const AbsorptionCurves uniform_curves(uniform, t_max);
-    SolverScratch scratch;
     for (const State init : {State::kS1, State::kS2})
       for (std::size_t n = 0; n <= t_max; ++n) {
         ++compared;
         if (!same_bits(uniform_curves.result_at(init, n),
-                       uniform_solver.solve(init, n, &scratch)))
+                       uniform_solver.solve(init, n)))
           ++differing;
       }
   }

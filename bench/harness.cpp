@@ -47,6 +47,8 @@ std::optional<WindowEvaluation> evaluate_smp_window(
     prediction = predictor.predict(trace, {.target_day = *target, .window = window});
   } catch (const PreconditionError&) {
     return std::nullopt;  // e.g. wrapping window past the trace end
+  } catch (const DataError&) {
+    return std::nullopt;  // no training day of the target's type holds it
   }
 
   const StateClassifier classifier(config.thresholds, trace.sampling_period());

@@ -22,15 +22,26 @@ struct Lag {
 
 }  // namespace
 
-AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max)
-    : t_max_(t_max) {
+TrResult tr_result(const std::array<double, 3>& p_absorb) {
+  double absorbed = 0.0;
+  for (const double p : p_absorb) absorbed += p;
+  return {.temporal_reliability = std::clamp(1.0 - absorbed, 0.0, 1.0),
+          .p_absorb = p_absorb};
+}
+
+void require_fgcs_model(const SmpModel& model) {
   FGCS_REQUIRE_MSG(model.n_states() == kStateCount,
-                   "AbsorptionCurves requires the 5-state FGCS model");
+                   "Eq. 3 requires the 5-state FGCS model");
   model.validate();
   for (const State failure : kFailureStates)
     for (std::size_t to = 0; to < kStateCount; ++to)
       FGCS_REQUIRE_MSG(model.q(index_of(failure), to) == 0.0,
                        "failure states must be absorbing");
+}
+
+AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max)
+    : t_max_(t_max) {
+  require_fgcs_model(model);
 
   // Cross-transition kernels a12/a21 at the lags where either is nonzero: a
   // lag zero in both adds exact +0.0s to non-negative accumulators, so
@@ -80,9 +91,9 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max)
         cum[lane] += direct[lane];
     }
     // One accumulator per series, fed in ascending lag order: per-series
-    // summation order matches SparseTrSolver's scalar recursion, and the
-    // lags skipped (zero weight, or ≥ m) only ever add exact zeros there,
-    // so every produced double is bit-identical.
+    // summation order matches the reference SparseTrSolver's scalar
+    // recursion, and the lags skipped (zero weight, or ≥ m) only ever add
+    // exact zeros there, so every produced double is bit-identical.
     double acc[kLanes] = {};
     for (const Lag& k : kernel) {
       if (k.lag >= m) break;
@@ -96,20 +107,12 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max)
   }
 }
 
-SparseTrSolver::Result AbsorptionCurves::result_at(State init,
-                                                   std::size_t n_steps) const {
+TrResult AbsorptionCurves::result_at(State init, std::size_t n_steps) const {
   FGCS_REQUIRE_MSG(is_available(init),
                    "temporal reliability is defined for available initial states");
   FGCS_REQUIRE_MSG(n_steps <= t_max_, "window beyond the tabulated horizon");
   const double* row = &p_[n_steps * kLanes + 4 * index_of(init)];
-  SparseTrSolver::Result result;
-  double absorbed = 0.0;
-  for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj) {
-    result.p_absorb[jj] = row[jj];
-    absorbed += result.p_absorb[jj];
-  }
-  result.temporal_reliability = std::clamp(1.0 - absorbed, 0.0, 1.0);
-  return result;
+  return tr_result({row[0], row[1], row[2]});
 }
 
 double AbsorptionCurves::probability(State init, std::size_t failure_index,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "core/curve_cache.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/parallel.hpp"
@@ -12,16 +11,6 @@
 #include "util/trace_span.hpp"
 
 namespace fgcs {
-
-namespace {
-
-State resolve_initial(const PredictionRequest& request, State majority) {
-  const State init = request.initial_state.value_or(majority);
-  FGCS_REQUIRE_MSG(is_available(init), "initial state must be S1 or S2");
-  return init;
-}
-
-}  // namespace
 
 std::size_t PredictionService::KeyHash::operator()(const Key& key) const {
   std::size_t h = std::hash<std::string>{}(key.machine_id);
@@ -37,7 +26,7 @@ std::size_t PredictionService::KeyHash::operator()(const Key& key) const {
 
 PredictionService::PredictionService(ServiceConfig config)
     : config_(config),
-      estimator_(config.estimator),
+      predictor_(config.estimator),
       shard_count_(std::max<std::size_t>(1, config.shards)),
       shards_(std::make_unique<Shard[]>(shard_count_)) {
   FGCS_REQUIRE_MSG(config.capacity_per_shard >= 1,
@@ -81,10 +70,7 @@ std::uint64_t PredictionService::generation_of(
 
 Prediction PredictionService::predict(const MachineTrace& trace,
                                       const PredictionRequest& request) {
-  validate(request.window);
-  FGCS_REQUIRE_MSG(request.target_day >= 0 &&
-                       request.target_day <= trace.day_count(),
-                   "target day beyond recorded history + 1");
+  validate(trace, request);
   lookups_.add();
 
   if (Failpoints::enabled()) {
@@ -111,8 +97,8 @@ Prediction PredictionService::predict(const MachineTrace& trace,
   // The day list lands in a per-worker buffer — a fleet probe of thousands
   // of machines allocates it once per worker, not once per request.
   static thread_local std::vector<std::int64_t> days;
-  estimator_.training_days_for(trace, request.target_day, request.window, days);
-  const std::size_t steps = request.window.steps(trace.sampling_period());
+  predictor_.estimator().training_days_for(trace, request.target_day,
+                                           request.window, days);
   Shard& shard = shard_for(key);
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
@@ -122,8 +108,7 @@ Prediction PredictionService::predict(const MachineTrace& trace,
       if (entry.training_days == days) {
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         hits_.add();
-        return entry.by_init[index_of(
-            resolve_initial(request, entry.majority_initial))];
+        return entry.answers.for_request(request);
       }
       stale_drops_.add();
       shard.lru.erase(it->second);
@@ -131,39 +116,13 @@ Prediction PredictionService::predict(const MachineTrace& trace,
     }
   }
 
-  // Miss: estimate, then one Eq. 3 build answers both initial states at the
-  // window's horizon. The model and the curve table die with this scope;
-  // only the answers are cached.
-  Entry entry;
-  entry.training_days = days;
-  TraceSpan estimate_span("service.estimate", &estimate_hist_);
-  const SmpModel model = [&] {
-    const TransitionCounts counts =
-        estimator_.count_transitions(trace, days, request.window);
-    entry.majority_initial = counts.majority_initial_state();
-    return estimator_.build_model(counts);
-  }();
-  const double estimate_seconds = estimate_span.finish();
-  const State init = resolve_initial(request, entry.majority_initial);
-
-  TraceSpan solve_span("service.solve", &solve_hist_);
-  const AbsorptionCurves curves(model, steps);  // the one validate()
-  for (const State state : {State::kS1, State::kS2}) {
-    const SparseTrSolver::Result result = curves.result_at(state, steps);
-    Prediction& prediction = entry.by_init[index_of(state)];
-    prediction.temporal_reliability = result.temporal_reliability;
-    prediction.initial_state = state;
-    prediction.p_absorb = result.p_absorb;
-    prediction.training_days_used = days.size();
-    prediction.steps = steps;
-  }
-  const double solve_seconds = solve_span.finish();
-  for (Prediction& prediction : entry.by_init) {
-    prediction.estimate_seconds = estimate_seconds;
-    prediction.solve_seconds = solve_seconds;
-  }
+  // Miss: the predictor's one estimate and curve build answers both initial
+  // states at the window's horizon; only the answers are cached.
+  Entry entry{.training_days = days,
+              .answers = predictor_.answer(trace, days, request.window,
+                                           &estimate_hist_, &solve_hist_)};
+  const Prediction prediction = entry.answers.for_request(request);
   misses_.add();
-  const Prediction prediction = entry.by_init[index_of(init)];
 
   // An invalidate() that lands after the generation read files this entry
   // under a dead key: never served, it ages out of the LRU like any other.

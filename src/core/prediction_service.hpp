@@ -6,9 +6,10 @@
 // one; the answer for a (machine, day-type, window) triple is the same each
 // time. PredictionService exploits that: predictions fan out over the
 // parallel_for thread pool, and answers live in a sharded LRU cache. A miss
+// calls AvailabilityPredictor::answer — the library's one Eq. 3 path: it
 // estimates (Q, H), builds one transient AbsorptionCurves table at the
 // window's horizon (curve_cache.hpp), and fills the Prediction for BOTH
-// transient initial states from it; the model and the table are dropped on
+// transient initial states from it. The model and the table are dropped on
 // return, so an entry holds only its training days, the majority initial
 // state and the two Predictions, and every later lookup of the key whose
 // training days still match is a hit.
@@ -39,7 +40,6 @@
 // that filled it.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -107,7 +107,6 @@ class PredictionService {
  public:
   explicit PredictionService(ServiceConfig config = {});
 
-  const SmpEstimator& estimator() const { return estimator_; }
   const ServiceConfig& config() const { return config_; }
 
   /// Single prediction through the cache. Semantically identical to
@@ -121,11 +120,12 @@ class PredictionService {
   std::vector<Prediction> predict_batch(std::span<const BatchRequest> requests);
 
   /// Per-request-fallible batch: same fan-out, but a request whose
-  /// prediction throws DataError (an estimation outage, such as the
-  /// `service.estimate.fail` failpoint) yields nullopt instead of aborting
-  /// the whole batch; a PreconditionError still propagates. The fleet-probe
-  /// primitive for schedulers that skip unpredictable machines rather than
-  /// re-probing serially.
+  /// prediction throws DataError — a machine with no training day for the
+  /// window, or an estimation outage such as the `service.estimate.fail`
+  /// failpoint — yields nullopt instead of aborting the whole batch; a
+  /// PreconditionError still propagates. The fleet-probe primitive for
+  /// schedulers that skip unpredictable machines rather than re-probing
+  /// serially.
   std::vector<std::optional<Prediction>> try_predict_batch(
       std::span<const BatchRequest> requests);
 
@@ -164,8 +164,7 @@ class PredictionService {
   /// the Prediction per transient initial state, both filled by the miss.
   struct Entry {
     std::vector<std::int64_t> training_days;
-    State majority_initial = State::kS1;
-    std::array<Prediction, 2> by_init;  // by index_of(init)
+    AvailabilityPredictor::Answers answers;
   };
 
   struct Shard {
@@ -186,7 +185,7 @@ class PredictionService {
                                 const PredictOne& predict_one);
 
   ServiceConfig config_;
-  SmpEstimator estimator_;
+  AvailabilityPredictor predictor_;
   std::size_t shard_count_;
   std::unique_ptr<Shard[]> shards_;
 

@@ -1,56 +1,71 @@
 #include "core/predictor.hpp"
 
-#include <chrono>
-
+#include "core/curve_cache.hpp"
 #include "util/error.hpp"
+#include "util/trace_span.hpp"
 
 namespace fgcs {
 
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
+void validate(const MachineTrace& trace, const PredictionRequest& request) {
+  validate(request.window);
+  FGCS_REQUIRE_MSG(request.target_day >= 0 &&
+                       request.target_day <= trace.day_count(),
+                   "target day beyond recorded history + 1");
 }
 
-}  // namespace
+const Prediction& AvailabilityPredictor::Answers::for_request(
+    const PredictionRequest& request) const {
+  const State init = request.initial_state.value_or(majority_initial);
+  FGCS_REQUIRE_MSG(is_available(init), "initial state must be S1 or S2");
+  return by_init[index_of(init)];
+}
 
 AvailabilityPredictor::AvailabilityPredictor(EstimatorConfig config)
     : estimator_(config) {}
 
 Prediction AvailabilityPredictor::predict(const MachineTrace& trace,
                                           const PredictionRequest& request) const {
-  validate(request.window);
-  FGCS_REQUIRE_MSG(request.target_day >= 0 &&
-                       request.target_day <= trace.day_count(),
-                   "target day beyond recorded history + 1");
-
-  Prediction prediction;
-  prediction.steps = request.window.steps(trace.sampling_period());
-
-  const auto t0 = std::chrono::steady_clock::now();
+  validate(trace, request);
   const std::vector<std::int64_t> days =
       estimator_.training_days_for(trace, request.target_day, request.window);
-  const TransitionCounts counts =
-      estimator_.count_transitions(trace, days, request.window);
-  const SmpModel model = estimator_.build_model(counts);
-  prediction.training_days_used = days.size();
-  prediction.initial_state =
-      request.initial_state.value_or(counts.majority_initial_state());
-  FGCS_REQUIRE_MSG(is_available(prediction.initial_state),
-                   "initial state must be S1 or S2");
-  prediction.estimate_seconds = seconds_since(t0);
+  return answer(trace, days, request.window).for_request(request);
+}
 
-  const auto t1 = std::chrono::steady_clock::now();
-  static thread_local SolverScratch scratch;
-  const SparseTrSolver solver(model);
-  const SparseTrSolver::Result result =
-      solver.solve(prediction.initial_state, prediction.steps, &scratch);
-  prediction.solve_seconds = seconds_since(t1);
+AvailabilityPredictor::Answers AvailabilityPredictor::answer(
+    const MachineTrace& trace, std::span<const std::int64_t> days,
+    const TimeWindow& window, Histogram* estimate_hist,
+    Histogram* solve_hist) const {
+  if (days.empty())
+    throw DataError("no training day of the target's type holds the window");
+  const std::size_t steps = window.steps(trace.sampling_period());
 
-  prediction.temporal_reliability = result.temporal_reliability;
-  prediction.p_absorb = result.p_absorb;
-  return prediction;
+  Answers answers;
+  TraceSpan estimate_span("service.estimate", estimate_hist);
+  const SmpModel model = [&] {
+    const TransitionCounts counts =
+        estimator_.count_transitions(trace, days, window);
+    answers.majority_initial = counts.majority_initial_state();
+    return estimator_.build_model(counts);
+  }();
+  const double estimate_seconds = estimate_span.finish();
+
+  TraceSpan solve_span("service.solve", solve_hist);
+  const AbsorptionCurves curves(model, steps);  // the one validate()
+  for (const State state : {State::kS1, State::kS2}) {
+    const TrResult result = curves.result_at(state, steps);
+    Prediction& prediction = answers.by_init[index_of(state)];
+    prediction.temporal_reliability = result.temporal_reliability;
+    prediction.initial_state = state;
+    prediction.p_absorb = result.p_absorb;
+    prediction.training_days_used = days.size();
+    prediction.steps = steps;
+  }
+  const double solve_seconds = solve_span.finish();
+  for (Prediction& prediction : answers.by_init) {
+    prediction.estimate_seconds = estimate_seconds;
+    prediction.solve_seconds = solve_seconds;
+  }
+  return answers;
 }
 
 }  // namespace fgcs

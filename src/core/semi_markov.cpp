@@ -174,33 +174,6 @@ std::vector<double> DenseSmpSolver::first_passage(std::size_t init,
   return result;
 }
 
-std::vector<double> DenseSmpSolver::interval_transition(std::size_t n_steps) const {
-  const std::size_t s = model_.n_states();
-  // p[m] is the flat s×s matrix P(m); P(0) = I.
-  std::vector<std::vector<double>> p(n_steps + 1, std::vector<double>(s * s, 0.0));
-  for (std::size_t i = 0; i < s; ++i) p[0][i * s + i] = 1.0;
-  for (std::size_t m = 1; m <= n_steps; ++m) {
-    for (std::size_t i = 0; i < s; ++i) {
-      // Survival term: still holding in i after m ticks.
-      p[m][i * s + i] = model_.survival(i, m);
-      for (std::size_t k = 0; k < s; ++k) {
-        const double q_ik = model_.q(i, k);
-        if (q_ik == 0.0) continue;
-        const auto pmf = model_.h_pmf(i, k);
-        const std::size_t l_max = std::min(m, pmf.size());
-        for (std::size_t l = 1; l <= l_max; ++l) {
-          const double weight = q_ik * pmf[l - 1];
-          if (weight == 0.0) continue;
-          const auto& prev = p[m - l];
-          for (std::size_t j = 0; j < s; ++j)
-            p[m][i * s + j] += weight * prev[k * s + j];
-        }
-      }
-    }
-  }
-  return p[n_steps];
-}
-
 double monte_carlo_reliability(const SmpModel& model, std::size_t init,
                                std::size_t n_steps,
                                std::span<const bool> failure,
@@ -233,20 +206,13 @@ double monte_carlo_reliability(const SmpModel& model, std::size_t init,
 std::vector<double> weighted_holding_pmf(const SmpModel& model,
                                          std::size_t from, std::size_t to,
                                          std::size_t n) {
-  std::vector<double> a;
-  weighted_holding_pmf(model, from, to, n, a);
-  return a;
-}
-
-void weighted_holding_pmf(const SmpModel& model, std::size_t from,
-                          std::size_t to, std::size_t n,
-                          std::vector<double>& out) {
-  out.assign(n + 1, 0.0);
+  std::vector<double> a(n + 1, 0.0);
   const double q = model.q(from, to);
-  if (q == 0.0) return;
+  if (q == 0.0) return a;
   const auto pmf = model.h_pmf(from, to);
   const std::size_t limit = std::min(n, pmf.size());
-  for (std::size_t l = 1; l <= limit; ++l) out[l] = q * pmf[l - 1];
+  for (std::size_t l = 1; l <= limit; ++l) a[l] = q * pmf[l - 1];
+  return a;
 }
 
 std::uint64_t smp_validate_calls() {

@@ -71,10 +71,10 @@ class SmpModel {
   std::vector<std::vector<double>> h_;        // pmf per (from,to)
 };
 
-/// Generic dense solver: the textbook interval-transition recursion over all
-/// state pairs. O(S²·n²) — the test reference for the sparse Eq. 3 paths
-/// (SparseTrSolver, AbsorptionCurves) and a base for experimenting with
-/// alternative state spaces.
+/// Generic dense solver: the textbook first-passage recursion over all state
+/// pairs. O(S²·n²) — the tolerance reference for the Eq. 3 paths
+/// (AbsorptionCurves, and SparseTrSolver, its bit reference) and a base for
+/// experimenting with alternative state spaces.
 class DenseSmpSolver {
  public:
   explicit DenseSmpSolver(const SmpModel& model);
@@ -84,11 +84,6 @@ class DenseSmpSolver {
   /// absorbing. This is the paper's Eq. 2 specialization used for TR.
   /// Requires the actual absorbing states to have no outgoing transitions.
   std::vector<double> first_passage(std::size_t init, std::size_t n_steps) const;
-
-  /// Full interval transition probabilities P_{i,j}(n) including the
-  /// "still holding in i" survival term; rows sum to 1 for non-defective
-  /// models. Returned as a flat n_states×n_states row-major matrix.
-  std::vector<double> interval_transition(std::size_t n_steps) const;
 
  private:
   const SmpModel& model_;
@@ -103,7 +98,7 @@ double monte_carlo_reliability(const SmpModel& model, std::size_t init,
 
 /// The weighted holding-time pmf a(l) = Q_{from,to}·H_{from,to}(l) every Eq. 3
 /// recursion convolves with, in the ONE canonical indexing convention shared
-/// by sparse_solver and curve_cache:
+/// by curve_cache and sparse_solver:
 ///
 ///   lag-indexed — a[l] is the lag-l weight, a[0] == 0 (strict causality),
 ///   and the vector has n + 1 entries (lags 0..n), zero-padded past the
@@ -116,15 +111,9 @@ std::vector<double> weighted_holding_pmf(const SmpModel& model,
                                          std::size_t from, std::size_t to,
                                          std::size_t n);
 
-/// The same kernel written into `out` (resized to n + 1), so a caller can
-/// recycle one buffer across solves.
-void weighted_holding_pmf(const SmpModel& model, std::size_t from,
-                          std::size_t to, std::size_t n,
-                          std::vector<double>& out);
-
 /// Process-wide count of SmpModel::validate() runs (relaxed atomic).
-/// Test instrumentation: the serving hot path must validate a model once
-/// when it enters the cache, never per solve — tests pin that by diffing
+/// Test instrumentation: a prediction validates its model once, in its one
+/// curve build, and a warm cache hit never does — tests pin that by diffing
 /// this counter around warm queries.
 std::uint64_t smp_validate_calls();
 

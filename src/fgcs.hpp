@@ -14,7 +14,7 @@
 #include "core/predictor.hpp"       // the public prediction API
 #include "core/prediction_service.hpp"  // batched + memoized fleet serving
 #include "core/semi_markov.hpp"     // discrete-time SMP + dense solver
-#include "core/sparse_solver.hpp"   // Eq. 3 sparsity-optimized TR solver
+#include "core/sparse_solver.hpp"   // Eq. 3 as written: the bit reference
 #include "core/states.hpp"
 #include "core/thresholds.hpp"
 

@@ -14,8 +14,7 @@
 namespace fgcs {
 namespace {
 
-void expect_identical(const SparseTrSolver::Result& a,
-                      const SparseTrSolver::Result& b) {
+void expect_identical(const TrResult& a, const TrResult& b) {
   EXPECT_EQ(a.temporal_reliability, b.temporal_reliability);
   EXPECT_EQ(a.p_absorb, b.p_absorb);
 }

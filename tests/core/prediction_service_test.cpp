@@ -355,5 +355,42 @@ TEST(PredictionServiceTest, TryBatchSkipsOnlyTheMachineWhoseEstimateFails) {
   }
 }
 
+// A machine with no training day for the window has no estimate. Empty
+// transient rows would give TR = 1 with training_days_used = 0, and a
+// scheduler would rank the machine as perfectly available; instead both
+// entry points raise DataError, and the fallible batch skips only it.
+TEST(PredictionServiceTest, NoTrainingDayIsADataErrorTheTryBatchSkips) {
+  const MachineTrace empty = flaky_trace("empty", 0);
+  const MachineTrace a = flaky_trace("a");
+  const MachineTrace c = flaky_trace("c");
+  const PredictionRequest request{.target_day = a.day_count(),
+                                  .window = morning_window()};
+  const PredictionRequest no_history{.target_day = 0,
+                                     .window = morning_window()};
+  PredictionService service;
+  const AvailabilityPredictor predictor(service.config().estimator);
+  EXPECT_THROW(predictor.predict(empty, no_history), DataError);
+  EXPECT_THROW(service.predict(empty, no_history), DataError);
+
+  const std::vector<BatchRequest> batch{{.trace = &a, .request = request},
+                                        {.trace = &empty, .request = no_history},
+                                        {.trace = &c, .request = request}};
+  const std::vector<std::optional<Prediction>> tried =
+      service.try_predict_batch(batch);
+  ASSERT_EQ(tried.size(), 3u);
+  EXPECT_FALSE(tried[1].has_value());
+  for (const std::size_t i : {0u, 2u}) {
+    ASSERT_TRUE(tried[i].has_value()) << i;
+    const Prediction direct = predictor.predict(*batch[i].trace, request);
+    expect_identical(direct, *tried[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(direct.temporal_reliability),
+              std::bit_cast<std::uint64_t>(tried[i]->temporal_reliability));
+    for (std::size_t k = 0; k < direct.p_absorb.size(); ++k)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(direct.p_absorb[k]),
+                std::bit_cast<std::uint64_t>(tried[i]->p_absorb[k]));
+  }
+  EXPECT_THROW(service.predict_batch(batch), DataError);
+}
+
 }  // namespace
 }  // namespace fgcs

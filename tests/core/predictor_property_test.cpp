@@ -7,6 +7,7 @@
 
 #include "core/prediction_service.hpp"
 #include "core/predictor.hpp"
+#include "core/sparse_solver.hpp"
 #include "test_support.hpp"
 #include "workload/trace_generator.hpp"
 

@@ -83,15 +83,16 @@ TEST(PredictorTest, ExplicitInitialStateIsRespected) {
 }
 
 TEST(PredictorTest, TargetDayJustPastHistoryIsAllowed) {
-  const MachineTrace trace = test::constant_trace(5, 10, 60);
+  // Eight days from a Monday: day 8 is a Tuesday with six earlier weekdays.
+  const MachineTrace trace = test::constant_trace(8, 10, 60);
   const AvailabilityPredictor predictor;
   EXPECT_NO_THROW(predictor.predict(
       trace,
-      {.target_day = 5, .window = {.start_of_day = 0, .length = 3600}}));
+      {.target_day = 8, .window = {.start_of_day = 0, .length = 3600}}));
   EXPECT_THROW(
       predictor.predict(
           trace,
-          {.target_day = 6, .window = {.start_of_day = 0, .length = 3600}}),
+          {.target_day = 9, .window = {.start_of_day = 0, .length = 3600}}),
       PreconditionError);
   EXPECT_THROW(
       predictor.predict(

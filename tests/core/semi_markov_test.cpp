@@ -113,30 +113,6 @@ TEST(DenseSolverTest, TwoHopChainConvolves) {
   EXPECT_DOUBLE_EQ(solver.first_passage(0, 2)[1], 1.0);
 }
 
-TEST(DenseSolverTest, IntervalTransitionRowsSumToOne) {
-  Rng rng(11);
-  const SmpModel model = test::random_fgcs_model(8, rng);
-  const DenseSmpSolver solver(model);
-  for (const std::size_t n : {0u, 1u, 4u, 12u}) {
-    const std::vector<double> p = solver.interval_transition(n);
-    for (std::size_t i = 0; i < kStateCount; ++i) {
-      double row = 0.0;
-      for (std::size_t j = 0; j < kStateCount; ++j) row += p[i * kStateCount + j];
-      EXPECT_NEAR(row, 1.0, 1e-9) << "i=" << i << " n=" << n;
-    }
-  }
-}
-
-TEST(DenseSolverTest, IntervalTransitionAtZeroIsIdentity) {
-  Rng rng(13);
-  const SmpModel model = test::random_fgcs_model(6, rng);
-  const DenseSmpSolver solver(model);
-  const std::vector<double> p = solver.interval_transition(0);
-  for (std::size_t i = 0; i < kStateCount; ++i)
-    for (std::size_t j = 0; j < kStateCount; ++j)
-      EXPECT_DOUBLE_EQ(p[i * kStateCount + j], i == j ? 1.0 : 0.0);
-}
-
 class FirstPassageMonteCarloTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FirstPassageMonteCarloTest, SolverMatchesSimulation) {

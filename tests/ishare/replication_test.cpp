@@ -14,6 +14,11 @@ namespace {
 using test::constant_day;
 using test::sample;
 
+// Friday 09:00 (Monday epoch): four earlier weekdays of history to predict
+// from. A Saturday has no same-type training day, and the scheduler skips a
+// machine it cannot predict.
+constexpr SimTime kFridayMorning = 4 * kSecondsPerDay + 9 * kSecondsPerHour;
+
 MachineTrace idle_trace(const std::string& id, int days, int load_pct = 5) {
   MachineTrace trace(id, Calendar(0), 60, 512);
   for (int d = 0; d < days; ++d) trace.append_day(constant_day(60, load_pct));
@@ -29,7 +34,7 @@ TEST(ReplicationTest, SingleReplicaCompletesLikePlainExecution) {
   const ReplicatingScheduler scheduler(registry, service, 1);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 1800, .mem_mb = 64};
-  const SimTime submit = 5 * kSecondsPerDay + 9 * kSecondsPerHour;
+  const SimTime submit = kFridayMorning;
   const ReplicatedOutcome outcome =
       scheduler.run_job(job, submit, submit + kSecondsPerDay);
   EXPECT_TRUE(outcome.completed);
@@ -50,7 +55,7 @@ TEST(ReplicationTest, FirstCompletionWins) {
   const ReplicatingScheduler scheduler(registry, service, 2);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 3600, .mem_mb = 64};
-  const SimTime submit = 5 * kSecondsPerDay + 9 * kSecondsPerHour;
+  const SimTime submit = kFridayMorning;
   const ReplicatedOutcome outcome =
       scheduler.run_job(job, submit, submit + kSecondsPerDay);
   ASSERT_TRUE(outcome.completed);
@@ -78,7 +83,7 @@ TEST(ReplicationTest, SurvivesSingleMachineFailure) {
   const ReplicatingScheduler scheduler(registry, service, 2);
 
   const GuestJobSpec job{.job_id = "j", .cpu_seconds = 4 * 3600, .mem_mb = 64};
-  const SimTime submit = 5 * kSecondsPerDay + 9 * kSecondsPerHour;
+  const SimTime submit = kFridayMorning;
   const ReplicatedOutcome outcome =
       scheduler.run_job(job, submit, submit + kSecondsPerDay);
   ASSERT_TRUE(outcome.completed);

@@ -53,6 +53,8 @@ int main(int argc, char** argv) {
                 trace, {.target_day = test_days.front(), .window = window});
           } catch (const PreconditionError&) {
             continue;
+          } catch (const DataError&) {
+            continue;  // no training day of the target's type holds it
           }
           const EmpiricalTr emp =
               empirical_tr(trace, test_days, window, classifier);

@@ -28,10 +28,12 @@
 // --check also serves every row through one fresh PredictionService, cold
 // then warm, for the requested initial state and for the other transient
 // one. The served Prediction must equal AvailabilityPredictor's bit for bit
-// (TR, absorption probabilities, initial state, steps, training days): the
-// predictor runs the per-call SparseTrSolver, the service one curve build
-// per miss, so this pins the two Eq. 3 paths to each other on every fixture
-// row.
+// (TR, absorption probabilities, initial state, steps, training days), which
+// pins the cache. Both run the one served Eq. 3 path (an AbsorptionCurves
+// build), so --check also estimates each row's model with the predictor's
+// estimator and requires the paper's plain recursion, SparseTrSolver::solve,
+// to give both initial states' served TR and absorption probabilities bit
+// for bit.
 #include <bit>
 #include <cmath>
 #include <cstdio>
@@ -43,6 +45,7 @@
 
 #include "core/prediction_service.hpp"
 #include "core/predictor.hpp"
+#include "core/sparse_solver.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "workload/preemption.hpp"
@@ -77,27 +80,37 @@ std::vector<MachineTrace> golden_fleet(const std::string& workload) {
                         "golden");
 }
 
-bool same_bits(const Prediction& a, const Prediction& b) {
+/// TR and the three absorption probabilities, bit for bit (a Prediction or
+/// a TrResult on either side).
+template <typename A, typename B>
+bool same_tr_bits(const A& a, const B& b) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  bool same = bits(a.temporal_reliability) == bits(b.temporal_reliability) &&
-              a.initial_state == b.initial_state && a.steps == b.steps &&
-              a.training_days_used == b.training_days_used;
+  bool same = bits(a.temporal_reliability) == bits(b.temporal_reliability);
   for (std::size_t j = 0; j < a.p_absorb.size(); ++j)
     same = same && bits(a.p_absorb[j]) == bits(b.p_absorb[j]);
   return same;
 }
 
-/// Served-versus-predicted tally of one --check run.
+bool same_bits(const Prediction& a, const Prediction& b) {
+  return same_tr_bits(a, b) && a.initial_state == b.initial_state &&
+         a.steps == b.steps && a.training_days_used == b.training_days_used;
+}
+
+/// Served-versus-predicted and served-versus-reference tallies of one
+/// --check run.
 struct ServedCheck {
   std::size_t compared = 0;
   std::size_t mismatches = 0;
+  std::size_t reference_compared = 0;
+  std::size_t reference_mismatches = 0;
   ServiceStats stats;
 };
 
 /// The grid's TRs through AvailabilityPredictor. With `served` non-null,
 /// every row is also served through one fresh PredictionService: cold, then
 /// warm, then warm for the other transient initial state, each compared to
-/// the predictor bit for bit.
+/// the predictor bit for bit; and both initial states' served answers are
+/// compared to SparseTrSolver::solve on the row's estimated model.
 std::vector<GoldenRow> compute_golden(const std::string& workload,
                                       ServedCheck* served = nullptr) {
   const std::vector<MachineTrace> fleet = golden_fleet(workload);
@@ -109,10 +122,11 @@ std::vector<GoldenRow> compute_golden(const std::string& workload,
   PredictionService service(ServiceConfig{.estimator = EstimatorConfig{}});
   const auto compare = [&](const MachineTrace& trace,
                            const PredictionRequest& request,
-                           const Prediction& want, const char* leg) {
+                           const Prediction& want,
+                           const char* leg) -> Prediction {
     const Prediction got = service.predict(trace, request);
     ++served->compared;
-    if (same_bits(want, got)) return;
+    if (same_bits(want, got)) return got;
     ++served->mismatches;
     std::fprintf(stderr,
                  "fgcs_golden: SERVED MISMATCH (%s) — %s day %lld start %lld "
@@ -123,6 +137,33 @@ std::vector<GoldenRow> compute_golden(const std::string& workload,
                  static_cast<long long>(request.window.length),
                  to_string(want.initial_state), want.temporal_reliability,
                  got.temporal_reliability);
+    return got;
+  };
+  // The bit reference: the paper's recursion on the row's model, for each
+  // served answer's initial state and horizon.
+  const auto check_reference = [&](const MachineTrace& trace,
+                                   const PredictionRequest& request,
+                                   const Prediction& got) {
+    const SmpModel model = predictor.estimator().estimate(
+        trace, request.target_day, request.window);
+    const TrResult want =
+        SparseTrSolver(model).solve(got.initial_state, got.steps);
+    ++served->reference_compared;
+    if (same_tr_bits(want, got)) return;
+    ++served->reference_mismatches;
+    std::fprintf(stderr,
+                 "fgcs_golden: REFERENCE MISMATCH — %s day %lld start %lld "
+                 "len %lld init %s: SparseTrSolver TR %.17g p_absorb %.17g "
+                 "%.17g %.17g vs service TR %.17g p_absorb %.17g %.17g "
+                 "%.17g\n",
+                 trace.machine_id().c_str(),
+                 static_cast<long long>(request.target_day),
+                 static_cast<long long>(request.window.start_of_day),
+                 static_cast<long long>(request.window.length),
+                 to_string(got.initial_state), want.temporal_reliability,
+                 want.p_absorb[0], want.p_absorb[1], want.p_absorb[2],
+                 got.temporal_reliability, got.p_absorb[0], got.p_absorb[1],
+                 got.p_absorb[2]);
   };
   std::vector<GoldenRow> rows;
   for (const MachineTrace& trace : fleet) {
@@ -147,13 +188,15 @@ std::vector<GoldenRow> compute_golden(const std::string& workload,
           rows.push_back(row);
           if (served == nullptr) continue;
           compare(trace, request, predicted, "cold");
-          compare(trace, request, predicted, "warm");
+          check_reference(trace, request,
+                          compare(trace, request, predicted, "warm"));
           PredictionRequest other = request;
           other.initial_state = predicted.initial_state == State::kS1
                                     ? State::kS2
                                     : State::kS1;
-          compare(trace, other, predictor.predict(trace, other),
-                  "warm, other initial state");
+          check_reference(trace, other,
+                          compare(trace, other, predictor.predict(trace, other),
+                                  "warm, other initial state"));
         }
       }
     }
@@ -225,6 +268,13 @@ int check(const std::string& path, const std::string& workload) {
   const std::vector<GoldenRow> actual = compute_golden(workload, &served);
   // Every row must have missed once and hit twice: otherwise the warm legs
   // did not exercise the cached answers.
+  if (served.reference_mismatches > 0) {
+    std::fprintf(stderr,
+                 "fgcs_golden: %zu of %zu served predictions differ from "
+                 "SparseTrSolver::solve on the row's model\n",
+                 served.reference_mismatches, served.reference_compared);
+    return 1;
+  }
   if (served.mismatches > 0 || served.stats.misses != actual.size() ||
       served.stats.hits != 2 * actual.size()) {
     std::fprintf(stderr,
@@ -277,8 +327,10 @@ int check(const std::string& path, const std::string& workload) {
   }
   std::printf("fgcs_golden: %zu rows match %s; %zu served predictions "
               "(cold, warm, other initial state) bit-identical to the "
-              "predictor\n",
-              actual.size(), path.c_str(), served.compared);
+              "predictor; %zu (both initial states) bit-identical to "
+              "SparseTrSolver::solve on the row's model\n",
+              actual.size(), path.c_str(), served.compared,
+              served.reference_compared);
   return 0;
 }
 

@@ -87,8 +87,8 @@ int main() {
         if (!target) continue;
         const auto training =
             estimator.training_days_for(trace, *target, window);
-        const FrequencyBaselineResult freq =
-            predict_tr_frequency(trace, training, window, classifier);
+        const EmpiricalTr freq =
+            empirical_tr(trace, training, window, classifier);
         const auto test_days = bench::test_days_of_type(
             trace, kTrainingFraction, DayType::kWeekday);
         const EmpiricalTr emp =

@@ -69,21 +69,6 @@ double SmpModel::exit_mass(std::size_t from) const {
   return total;
 }
 
-double SmpModel::survival(std::size_t from, std::size_t l) const {
-  FGCS_REQUIRE(from < n_states_);
-  double exited = 0.0;
-  for (std::size_t to = 0; to < n_states_; ++to) {
-    const double q_ik = q_[pair_index(from, to)];
-    if (q_ik == 0.0) continue;
-    const auto& pmf = h_[pair_index(from, to)];
-    const std::size_t limit = std::min(l, pmf.size());
-    double mass = 0.0;
-    for (std::size_t m = 0; m < limit; ++m) mass += pmf[m];
-    exited += q_ik * mass;
-  }
-  return std::max(0.0, 1.0 - exited);
-}
-
 void SmpModel::validate() const {
   g_validate_calls.fetch_add(1, std::memory_order_relaxed);
   for (std::size_t from = 0; from < n_states_; ++from) {

@@ -45,10 +45,6 @@ class SmpModel {
   /// Σ_k Q_i(k) — at most 1; the deficit is censored (survivor) mass.
   double exit_mass(std::size_t from) const;
 
-  /// Pr(hold in `from` for more than `l` ticks), counting censored mass as
-  /// never leaving: W_i(l) = 1 − Σ_k Q_i(k)·Σ_{m≤l} H_{i,k}(m).
-  double survival(std::size_t from, std::size_t l) const;
-
   /// Throws PreconditionError if any row/pmf violates probability axioms.
   void validate() const;
 

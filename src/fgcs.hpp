@@ -35,7 +35,6 @@
 #include "sim/machine.hpp"
 #include "timeseries/ar.hpp"
 #include "timeseries/arma.hpp"
-#include "timeseries/frequency_baseline.hpp"
 #include "timeseries/ma.hpp"
 #include "timeseries/model.hpp"
 #include "timeseries/simple.hpp"

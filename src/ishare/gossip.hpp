@@ -38,8 +38,8 @@
 // `fgcs_chaos --scenario gossip`.
 //
 // Thread-safety: an agent is not thread-safe. The networked server guards
-// its agent with a mutex (reactors handle kGossipSync concurrently with the
-// tick thread); the in-process mesh is single-threaded by construction.
+// its agent with a mutex (the reactor handles kGossipSync concurrently with
+// the tick thread); the in-process mesh is single-threaded by construction.
 #pragma once
 
 #include <cstdint>

@@ -236,6 +236,12 @@ Frame PredictionClient::read_frame(Clock::time_point deadline) {
 
 namespace {
 
+/// Wrong-shard forwards tolerated per predict_batch call before giving up.
+/// Each hop adopts the answering server's (fresher) ring and re-partitions,
+/// so a stable fleet resolves in one hop; a bound this low only trips when
+/// rings keep changing under the call.
+constexpr int kMaxForwardHops = 3;
+
 /// Registry-owned counters for client-side ring routing (DESIGN.md §8
 /// idiom; shared across sharded clients like the server's fleet series).
 struct RingClientMetrics {
@@ -255,10 +261,9 @@ struct RingClientMetrics {
 }  // namespace
 
 ShardedPredictionClient::ShardedPredictionClient(HashRing ring,
-                                                 ShardedClientConfig config)
-    : ring_(std::move(ring)), config_(std::move(config)) {
+                                                 ClientConfig base)
+    : ring_(std::move(ring)), base_(std::move(base)) {
   FGCS_REQUIRE_MSG(!ring_.empty(), "sharded client needs a non-empty ring");
-  FGCS_REQUIRE(config_.max_forward_hops >= 0);
 }
 
 PredictionClient& ShardedPredictionClient::client_for(
@@ -268,7 +273,7 @@ PredictionClient& ShardedPredictionClient::client_for(
   const std::string key = member.host + ":" + std::to_string(member.port);
   const auto it = clients_.find(key);
   if (it != clients_.end()) return *it->second;
-  ClientConfig config = config_.base;
+  ClientConfig config = base_;
   config.host = member.host;
   config.port = member.port;
   return *clients_.emplace(key, std::make_unique<PredictionClient>(config))
@@ -336,10 +341,10 @@ std::vector<Prediction> ShardedPredictionClient::predict_batch(
     }
 
     if (fresher.has_value()) {
-      if (++hops > config_.max_forward_hops)
+      if (++hops > kMaxForwardHops)
         throw DataError(
             "net client: wrong-shard forwarding exceeded " +
-            std::to_string(config_.max_forward_hops) +
+            std::to_string(kMaxForwardHops) +
             " hops (rings keep changing under the call)");
       adopt_ring(std::move(*fresher));
     }

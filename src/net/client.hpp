@@ -163,17 +163,6 @@ class PredictionClient {
   ClientStats stats_{};
 };
 
-struct ShardedClientConfig {
-  /// Per-shard connection settings; host and port are ignored (each shard's
-  /// endpoint comes from its RingMember).
-  ClientConfig base;
-  /// Wrong-shard forwards tolerated per predict_batch call before giving
-  /// up — each hop adopts the answering server's (fresher) ring and
-  /// re-partitions, so a stable fleet resolves in one hop; a bound this low
-  /// only trips when rings keep changing under the call.
-  int max_forward_hops = 3;
-};
-
 /// Aggregated routing counters, on top of the per-shard ClientStats.
 struct ShardedClientStats {
   std::uint64_t batches = 0;          ///< predict_batch calls
@@ -190,16 +179,17 @@ struct ShardedClientStats {
 ///
 /// Staleness heals in-band: a server that no longer (or never did) own a
 /// key answers kWrongShard with its current ring; the client adopts it,
-/// re-partitions the unresolved items, and retries — at most
-/// config.max_forward_hops times per call. The cached ring can also be
+/// re-partitions the unresolved items, and retries — at most 3 times per
+/// call. The cached ring can also be
 /// replaced explicitly with adopt_ring() (tests force stale-ring hops with
 /// it).
 ///
 /// Not thread-safe, like the per-shard clients it owns.
 class ShardedPredictionClient {
  public:
-  explicit ShardedPredictionClient(HashRing ring,
-                                   ShardedClientConfig config = {});
+  /// `base` holds the per-shard connection settings; its host and port are
+  /// ignored (each shard's endpoint comes from its RingMember).
+  explicit ShardedPredictionClient(HashRing ring, ClientConfig base = {});
 
   /// Round-trips one batch across the owning shards. Returns results
   /// aligned with `items`. Throws DataError when a shard stays unreachable
@@ -223,7 +213,7 @@ class ShardedPredictionClient {
 
  private:
   HashRing ring_;
-  ShardedClientConfig config_;
+  ClientConfig base_;
   /// Per-endpoint connections, keyed host:port — kept across ring changes
   /// (an endpoint that re-enters the ring reuses its connection).
   std::map<std::string, std::unique_ptr<PredictionClient>> clients_;

@@ -20,8 +20,8 @@
 //
 // A non-positive offered_rate switches to saturation mode: no pacing, all
 // ops scheduled immediately, latency measured from actual send (there is
-// no arrival clock to be safe against) — this is what bench_net_scaling
-// uses to find the throughput ceiling per reactor count.
+// no arrival clock to be safe against) — `fgcs_loadgen --rate 0` uses it
+// to find a server's throughput ceiling.
 #pragma once
 
 #include <cstdint>

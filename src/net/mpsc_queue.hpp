@@ -1,11 +1,10 @@
 // Lock-free multi-producer single-consumer handoff queue (DESIGN.md §9).
 //
-// The multi-reactor PredictionServer uses one of these per reactor as its
-// inbox: thread-pool workers finishing a predict_batch push completion
-// nodes from any thread, the accept thread (in hand-off mode) pushes
-// freshly accepted connections, and the owning reactor drains the queue on
-// an eventfd wake — always on its own thread, so everything a node carries
-// is handed over with no further synchronization.
+// The PredictionServer's reactor uses one of these as its inbox:
+// thread-pool workers finishing a predict_batch push completion nodes from
+// any thread, and the reactor drains the queue on an eventfd wake — always
+// on its own thread, so everything a node carries is handed over with no
+// further synchronization.
 //
 // The structure is an intrusive Treiber stack with a drain-all consumer:
 //

@@ -93,31 +93,27 @@ ServerStats& ServerStats::operator+=(const ServerStats& other) {
 }
 
 // ---------------------------------------------------------------------------
-// Reactor: one thread, one EventLoop, one disjoint set of connections.
+// Reactor: the server's one thread, EventLoop and set of connections.
 
 class PredictionServer::Reactor {
  public:
-  Reactor(PredictionServer& server, unsigned index);
+  explicit Reactor(PredictionServer& server);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Creates, binds, and registers the server's one listening socket on
-  /// this reactor (always reactor 0); returns the bound port.
+  /// Creates, binds, and registers the server's listening socket; returns
+  /// the bound port.
   std::uint16_t open_listener(std::uint16_t port);
 
-  /// Thread body: dispatch this reactor's loop until stop().
-  void run();
+  /// Thread body: dispatch the loop until stop_loop().
+  void run() { loop_.run(); }
   void stop_loop() { loop_.stop(); }
 
   /// Post-join teardown: waits out in-flight pool tasks, reclaims queued
   /// inbox nodes, and closes every owned descriptor. Idempotent.
   void shutdown();
-
-  /// Acceptor-side entry: transfers a freshly accepted connection (plus its
-  /// per-accept failpoint flags) to this reactor.
-  void enqueue_adopt(int fd, bool short_reads, bool stalled_writes);
 
   ServerStats snapshot() const;
 
@@ -140,22 +136,18 @@ class PredictionServer::Reactor {
     bool want_writable = false; ///< EPOLLOUT currently registered
   };
 
-  /// One message in the reactor's lock-free inbox: either a connection
-  /// being handed off by the accept thread, or an encoded response frame a
-  /// pool worker finished for one of this reactor's connections.
+  /// One message in the reactor's lock-free inbox: an encoded frame a pool
+  /// worker finished for one of the reactor's connections.
   struct InboxNode {
     InboxNode* next = nullptr;
-    enum class Kind { kAdopt, kCompletion, kAppendDone } kind = Kind::kCompletion;
-    int fd = -1;                       // kAdopt: the accepted socket
-    bool short_reads = false;          // kAdopt
-    bool stalled_writes = false;       // kAdopt
-    std::uint64_t generation = 0;      // completions: owning connection
-    std::vector<std::uint8_t> frame;   // completions: encoded wire frame
-    bool is_error = false;             // completions: error vs response/ack
+    enum class Kind { kCompletion, kAppendDone } kind = Kind::kCompletion;
+    int fd = -1;                       // owning connection
+    std::uint64_t generation = 0;      // owning connection
+    std::vector<std::uint8_t> frame;   // encoded wire frame
+    bool is_error = false;             // error vs response/ack
     std::uint64_t predictions = 0;     // kCompletion: results in the frame
-    // kAppendDone: the store's bookkeeping, so the owning reactor
-    // attributes the ingest counters (stats() stays the exact sum of
-    // reactor snapshots — no store-global counter to drift).
+    // kAppendDone: the store's bookkeeping, counted by the reactor when the
+    // ack is sent.
     AppendResult appended;
   };
 
@@ -183,15 +175,14 @@ class PredictionServer::Reactor {
   void close_connection(int fd);
 
   PredictionServer& server_;
-  const unsigned index_;
 
   EventLoop loop_;
   int listen_fd_ = -1;
   /// Held open so EMFILE at accept time can be drained: close it, accept
   /// the pending connection onto the freed descriptor, close that, reopen.
   int spare_fd_ = -1;
-  /// Producers (pool workers, the accept thread) write here after pushing
-  /// to inbox_; registered EPOLLIN in loop_, so the reactor wakes to drain.
+  /// Pool workers write here after pushing to inbox_; registered EPOLLIN in
+  /// loop_, so the reactor wakes to drain.
   int notify_fd_ = -1;
   MpscQueue<InboxNode> inbox_;
 
@@ -200,27 +191,23 @@ class PredictionServer::Reactor {
   /// Pool tasks submitted but not yet finished pushing their node; stop()
   /// waits this out before reclaiming the inbox.
   std::atomic<std::uint64_t> pending_tasks_{0};
-  unsigned round_robin_next_ = 0;                    // accept thread only
   bool shutdown_done_ = false;
 
   std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> active_{0};
+  std::atomic<std::uint64_t> active_{0};  // connections_.size() for stats()
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> responses_{0};
   std::atomic<std::uint64_t> predictions_{0};
-  // Instruments shared with the global exposition: attached both to the
-  // fleet-wide net.* series (summed across reactors) and to this reactor's
-  // net.reactor.<i>.* series.
+  // Instruments shared with the global exposition (net.* series).
   Counter rx_bytes_;
   Counter tx_bytes_;
   Counter frames_;
   Counter requests_;
   Counter errors_;
-  // Decentralized-registry instruments (registry.ring.* / registry.gossip.*
-  // fleet-wide + net.reactor.<i>.*).
+  // Decentralized-registry instruments (registry.ring.* / registry.gossip.*).
   Counter wrong_shard_;
   Counter gossip_syncs_;
-  // Ingest instruments (ingest.* fleet-wide + net.reactor.<i>.ingest.*).
+  // Ingest instruments (ingest.*).
   Counter appends_;
   Counter append_samples_;
   Counter append_duplicates_;
@@ -230,59 +217,33 @@ class PredictionServer::Reactor {
   std::vector<MetricsAttachment> metrics_attachments_;
 };
 
-namespace {
-/// Set by Reactor::run() so handlers can assert strict connection
-/// ownership: a connection's events and completions are only ever serviced
-/// on its owning reactor's thread.
-thread_local const void* t_current_reactor = nullptr;
-}  // namespace
-
-PredictionServer::Reactor::Reactor(PredictionServer& server, unsigned index)
-    : server_(server), index_(index) {
+PredictionServer::Reactor::Reactor(PredictionServer& server)
+    : server_(server) {
   notify_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (notify_fd_ < 0) throw_errno("eventfd(reactor inbox)");
   loop_.add(notify_fd_, EPOLLIN,
             [this](std::uint32_t events) { drain_inbox(events); });
 
+  // Registry-routing and ingest series keep their own prefixes: they are a
+  // registry and a store concern, not a transport one.
+  const std::pair<const char*, Counter*> counters[] = {
+      {"net.rx.bytes.total", &rx_bytes_},
+      {"net.tx.bytes.total", &tx_bytes_},
+      {"net.frames.total", &frames_},
+      {"net.requests.total", &requests_},
+      {"net.errors.total", &errors_},
+      {"registry.ring.wrong_shard.total", &wrong_shard_},
+      {"registry.gossip.syncs.served.total", &gossip_syncs_},
+      {"ingest.appends.total", &appends_},
+      {"ingest.samples.total", &append_samples_},
+      {"ingest.duplicates.total", &append_duplicates_},
+      {"ingest.days.closed.total", &days_closed_},
+      {"ingest.days.retired.total", &days_retired_}};
   MetricsRegistry& registry = MetricsRegistry::global();
-  const std::string prefix = "net.reactor." + std::to_string(index_) + ".";
-  const auto attach_both = [&](const char* name, Counter& counter) {
-    metrics_attachments_.push_back(
-        registry.attach(std::string("net.") + name, counter));
-    metrics_attachments_.push_back(registry.attach(prefix + name, counter));
-  };
-  attach_both("rx.bytes.total", rx_bytes_);
-  attach_both("tx.bytes.total", tx_bytes_);
-  attach_both("frames.total", frames_);
-  attach_both("requests.total", requests_);
-  attach_both("errors.total", errors_);
-  // Registry-routing series keep their own fleet-wide prefix (they are a
-  // registry concern, not a transport one) but still shard per reactor.
-  metrics_attachments_.push_back(
-      registry.attach("registry.ring.wrong_shard.total", wrong_shard_));
-  metrics_attachments_.push_back(
-      registry.attach(prefix + "wrong_shard.total", wrong_shard_));
-  metrics_attachments_.push_back(
-      registry.attach("registry.gossip.syncs.served.total", gossip_syncs_));
-  metrics_attachments_.push_back(
-      registry.attach(prefix + "gossip.syncs.total", gossip_syncs_));
-  // Ingest series live under their own fleet-wide prefix (they are a store
-  // concern, not a transport one) but still shard per reactor.
-  const auto attach_ingest = [&](const char* name, Counter& counter) {
-    metrics_attachments_.push_back(
-        registry.attach(std::string("ingest.") + name, counter));
-    metrics_attachments_.push_back(
-        registry.attach(prefix + "ingest." + name, counter));
-  };
-  attach_ingest("appends.total", appends_);
-  attach_ingest("samples.total", append_samples_);
-  attach_ingest("duplicates.total", append_duplicates_);
-  attach_ingest("days.closed.total", days_closed_);
-  attach_ingest("days.retired.total", days_retired_);
+  for (const auto& [name, counter] : counters)
+    metrics_attachments_.push_back(registry.attach(name, *counter));
   metrics_attachments_.push_back(
       registry.attach("net.request.seconds", request_hist_));
-  metrics_attachments_.push_back(
-      registry.attach(prefix + "request.seconds", request_hist_));
 }
 
 PredictionServer::Reactor::~Reactor() { shutdown(); }
@@ -324,12 +285,6 @@ std::uint16_t PredictionServer::Reactor::open_listener(std::uint16_t port) {
   return ntohs(bound.sin_port);
 }
 
-void PredictionServer::Reactor::run() {
-  t_current_reactor = this;
-  loop_.run();
-  t_current_reactor = nullptr;
-}
-
 void PredictionServer::Reactor::shutdown() {
   if (shutdown_done_) return;
   shutdown_done_ = true;
@@ -339,8 +294,6 @@ void PredictionServer::Reactor::shutdown() {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   for (InboxNode* node = inbox_.take_all(); node != nullptr;) {
     InboxNode* next = node->next;
-    if (node->kind == InboxNode::Kind::kAdopt && node->fd >= 0)
-      ::close(node->fd);
     delete node;
     node = next;
   }
@@ -366,17 +319,6 @@ void PredictionServer::Reactor::wake() {
   // Best effort: a full eventfd counter still wakes the poller.
   [[maybe_unused]] const ssize_t n =
       ::write(notify_fd_, &one, sizeof(one));
-}
-
-void PredictionServer::Reactor::enqueue_adopt(int fd, bool short_reads,
-                                              bool stalled_writes) {
-  auto* node = new InboxNode;
-  node->kind = InboxNode::Kind::kAdopt;
-  node->fd = fd;
-  node->short_reads = short_reads;
-  node->stalled_writes = stalled_writes;
-  inbox_.push(node);
-  wake();
 }
 
 void PredictionServer::Reactor::handle_accept(std::uint32_t) {
@@ -405,28 +347,18 @@ void PredictionServer::Reactor::handle_accept(std::uint32_t) {
     // The failpoint is evaluated exactly once per accept — before the
     // capacity check, so its evaluation count replays deterministically.
     const bool drop = FGCS_FAILPOINT("net.accept.drop");
-    if (drop || server_.total_active_.load(std::memory_order_relaxed) >=
-                    server_.config_.max_connections) {
+    if (drop || connections_.size() >= server_.config_.max_connections) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       ::close(fd);
       continue;
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    // Per-accept failpoints are evaluated here on the accepting thread (so
-    // their order is the accept order, deterministic for a sequential
-    // driver) and travel with the connection on hand-off.
+    // Per-accept failpoints are evaluated in accept order, deterministic
+    // for a client that connects sequentially.
     const bool short_reads = FGCS_FAILPOINT("net.read.short");
     const bool stalled_writes = FGCS_FAILPOINT("net.write.stall");
-    server_.total_active_.fetch_add(1, std::memory_order_relaxed);
-    // Connections are dealt round-robin; at reactors=1 every target is 0.
-    const unsigned target =
-        round_robin_next_++ % static_cast<unsigned>(server_.reactors_.size());
-    if (target == index_)
-      adopt(fd, short_reads, stalled_writes);
-    else
-      server_.reactors_[target]->enqueue_adopt(fd, short_reads,
-                                               stalled_writes);
+    adopt(fd, short_reads, stalled_writes);
   }
 }
 
@@ -444,17 +376,12 @@ void PredictionServer::Reactor::adopt(int fd, bool short_reads,
 }
 
 void PredictionServer::Reactor::drain_inbox(std::uint32_t) {
-  FGCS_REQUIRE_MSG(t_current_reactor == this || !server_.running(),
-                   "inbox drained off the owning reactor thread");
   std::uint64_t value = 0;
   while (::read(notify_fd_, &value, sizeof(value)) > 0) {
   }
   for (InboxNode* node = inbox_.take_all(); node != nullptr;) {
     InboxNode* next = node->next;
-    if (node->kind == InboxNode::Kind::kAdopt)
-      adopt(node->fd, node->short_reads, node->stalled_writes);
-    else
-      complete(*node);
+    complete(*node);
     delete node;
     node = next;
   }
@@ -462,8 +389,6 @@ void PredictionServer::Reactor::drain_inbox(std::uint32_t) {
 
 void PredictionServer::Reactor::handle_connection(int fd,
                                                  std::uint32_t events) {
-  FGCS_REQUIRE_MSG(t_current_reactor == this,
-                   "connection serviced off its owning reactor");
   auto it = connections_.find(fd);
   if (it == connections_.end()) return;
   if (events & (EPOLLHUP | EPOLLERR)) {
@@ -550,7 +475,7 @@ void PredictionServer::Reactor::pump(Connection& conn) {
     }
     // Deterministically injectable "the bytes lied": treat this frame as
     // corrupt without decoding it. Evaluated once per received data frame
-    // (request or append), in arrival order on the owning reactor.
+    // (request or append), in arrival order.
     if (FGCS_FAILPOINT("net.frame.corrupt")) {
       reject(conn, "injected: net.frame.corrupt", /*retryable=*/true);
       continue;
@@ -566,7 +491,7 @@ void PredictionServer::Reactor::pump(Connection& conn) {
       // but appends are idempotent, so the client may retry the same bytes
       // on the same connection — retryable WITHOUT the close that framing
       // errors earn (the stream is still in sync). Evaluated once per
-      // append frame, in arrival order on the owning reactor.
+      // append frame, in arrival order.
       if (FGCS_FAILPOINT("ingest.append.drop")) {
         reject(conn, "injected: ingest.append.drop", /*retryable=*/true);
         continue;
@@ -801,7 +726,6 @@ void PredictionServer::Reactor::close_connection(int fd) {
   ::close(fd);
   connections_.erase(fd);
   active_.store(connections_.size(), std::memory_order_relaxed);
-  server_.total_active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 ServerStats PredictionServer::Reactor::snapshot() const {
@@ -827,14 +751,13 @@ ServerStats PredictionServer::Reactor::snapshot() const {
 }
 
 // ---------------------------------------------------------------------------
-// PredictionServer: reactor fleet lifecycle + aggregation.
+// PredictionServer: reactor lifecycle.
 
 PredictionServer::PredictionServer(ServerConfig config,
                                    std::shared_ptr<PredictionService> service)
     : config_(std::move(config)), service_(std::move(service)) {
   FGCS_REQUIRE(service_ != nullptr);
   FGCS_REQUIRE(config_.max_connections >= 1);
-  FGCS_REQUIRE_MSG(config_.reactors >= 1, "need at least one reactor");
   // The day-closed callback runs on whichever pool worker drove the
   // append, under the machine's store lock; invalidate() is thread-safe
   // and cheap (one generation bump). One closed day ⇒ exactly one bump —
@@ -846,40 +769,26 @@ PredictionServer::PredictionServer(ServerConfig config,
         service_->invalidate(machine_id);
       },
       std::bind_front(&load_trace, config_.trace_root));
-  reactors_.reserve(config_.reactors);
-  for (unsigned i = 0; i < config_.reactors; ++i)
-    reactors_.push_back(std::make_unique<Reactor>(*this, i));
+  reactor_ = std::make_unique<Reactor>(*this);
 }
 
 PredictionServer::~PredictionServer() { stop(); }
 
-unsigned PredictionServer::reactor_count() const {
-  return static_cast<unsigned>(reactors_.size());
-}
-
 void PredictionServer::start() {
   FGCS_REQUIRE_MSG(!started_,
                    "server already started (one start/stop cycle per server)");
-  bound_port_ = reactors_[0]->open_listener(config_.port);
+  bound_port_ = reactor_->open_listener(config_.port);
 
   started_ = true;
-  running_.store(true, std::memory_order_release);
-  threads_.reserve(reactors_.size());
-  for (const std::unique_ptr<Reactor>& reactor : reactors_)
-    threads_.emplace_back([r = reactor.get()] { r->run(); });
+  thread_ = std::thread([r = reactor_.get()] { r->run(); });
 }
 
 void PredictionServer::stop() {
-  if (!threads_.empty()) {
-    for (const std::unique_ptr<Reactor>& reactor : reactors_)
-      reactor->stop_loop();
-    for (std::thread& thread : threads_) thread.join();
-    threads_.clear();
+  if (thread_.joinable()) {
+    reactor_->stop_loop();
+    thread_.join();
   }
-  running_.store(false, std::memory_order_release);
-  for (const std::unique_ptr<Reactor>& reactor : reactors_)
-    reactor->shutdown();
-  total_active_.store(0, std::memory_order_relaxed);
+  reactor_->shutdown();
 }
 
 void PredictionServer::set_ring(HashRing ring) {
@@ -928,21 +837,6 @@ HashRing PredictionServer::gossip_ring() {
   return gossip_agent_->ring();
 }
 
-ServerStats PredictionServer::stats() const {
-  // The aggregate IS the sum of the shards — there is no separate global
-  // counter set that could double-count or drift (the PR-6 stats fix).
-  ServerStats total;
-  for (const std::unique_ptr<Reactor>& reactor : reactors_)
-    total += reactor->snapshot();
-  return total;
-}
-
-std::vector<ServerStats> PredictionServer::reactor_stats() const {
-  std::vector<ServerStats> stats;
-  stats.reserve(reactors_.size());
-  for (const std::unique_ptr<Reactor>& reactor : reactors_)
-    stats.push_back(reactor->snapshot());
-  return stats;
-}
+ServerStats PredictionServer::stats() const { return reactor_->snapshot(); }
 
 }  // namespace fgcs::net

@@ -1,60 +1,46 @@
 // PredictionServer — networked serving front-end over PredictionService
 // (DESIGN.md §9, wire layout in docs/WIRE.md).
 //
-// The server is a fleet of N *reactors* (config.reactors, default 1). Each
-// reactor is one thread running its own epoll EventLoop and owning a
-// disjoint set of connections end to end: it accepts (or is handed) them,
-// reassembles their frames, dispatches decoded request batches into the
-// shared PredictionService via the persistent thread pool, and writes their
-// outboxes. A connection's fds, decoder state and outbox are touched by
-// exactly one reactor thread — the strict ownership that makes the sharding
-// linearly scalable and keeps every single-reactor invariant intact
-// (reactors=1 reproduces the original single-threaded server bit for bit on
-// the golden rows).
+// The server is one *reactor*: a single thread running an epoll EventLoop
+// that owns the listening socket and every connection end to end. It
+// accepts connections, reassembles their frames, dispatches decoded request
+// batches into the shared PredictionService via the persistent thread pool,
+// and writes their outboxes. A connection's fd, decoder state and outbox
+// are only ever touched by the reactor thread. The reactor only moves
+// bytes; the pool does the Q/H estimates and Eq. 3 solves.
 //
 // Traces: every served machine lives in the server's one TraceStore under
 // the key clients name it by — added with add_trace, streamed in, or loaded
 // once per server from under config.trace_root, taking its key as machine
 // id — so store, prediction cache and invalidation agree on one history.
 //
-// Listener: reactor 0 owns the server's one listening socket and deals
-// accepted fds round-robin — the ones that fall to it it adopts directly,
-// the others it hands to their reactor through that reactor's lock-free
-// MPSC inbox (net/mpsc_queue.hpp), waking the target's eventfd. Placement
-// is therefore deterministic (connection k lands on reactor k mod N), which
-// the reactor-ownership tests and multi-reactor chaos replays pin; at
-// reactors=1 every connection is adopted in place.
-//
-// Request dispatch is asynchronous: the owning reactor decodes a request
-// batch, submits trace resolution, predict_batch and response encoding to
-// the thread pool, and goes back to polling; the pool worker pushes the encoded
-// response onto the owning reactor's inbox (same lock-free queue) and wakes
-// it, and the reactor appends it to the connection's outbox. A per-
-// connection generation counter makes completions for already-closed (and
-// possibly fd-reused) connections drop harmlessly. Frames a connection
+// Request dispatch is asynchronous: the reactor decodes a request batch,
+// submits trace resolution, predict_batch and response encoding to the
+// thread pool, and goes back to polling; the pool worker pushes the encoded
+// response onto the reactor's lock-free MPSC inbox (net/mpsc_queue.hpp) and
+// wakes its eventfd, and the reactor appends it to the connection's outbox.
+// A per-connection generation counter makes completions for already-closed
+// (and possibly fd-reused) connections drop harmlessly. Frames a connection
 // pipelines while a batch is in flight are queued and answered strictly in
 // arrival order.
 //
-// Failure semantics (unchanged from the single-reactor server): a malformed
-// *payload* (undecodable request, unknown machine key, unloadable trace)
-// earns a non-retryable error frame and the connection keeps serving; a
-// malformed *frame* (bad magic/version/length/checksum) means the stream is
-// desynced, so the server sends a best-effort retryable error frame and
-// closes that connection. All socket writes use MSG_NOSIGNAL; fd exhaustion
-// at accept time is drained through a per-listener reserved spare
-// descriptor.
+// Failure semantics: a malformed *payload* (undecodable request, unknown
+// machine key, unloadable trace) earns a non-retryable error frame and the
+// connection keeps serving; a malformed *frame* (bad
+// magic/version/length/checksum) means the stream is desynced, so the
+// server sends a best-effort retryable error frame and closes that
+// connection. All socket writes use MSG_NOSIGNAL; fd exhaustion at accept
+// time is drained through a reserved spare descriptor.
 //
 // Fault injection (tests/chaos/net_chaos_test.cpp): failpoints are
 // evaluated at points whose global order is deterministic for a sequential
 // driver — per accepted connection (net.accept.drop, net.read.short,
-// net.write.stall, evaluated by the accepting thread) or per received frame
-// (net.frame.corrupt, evaluated by the owning reactor in arrival order) —
-// never per read()/write() call, so FailpointStats replay exactly even
-// against a 4-reactor server.
+// net.write.stall) or per received frame (net.frame.corrupt, in arrival
+// order) — never per read()/write() call, so FailpointStats replay exactly.
 //
 // Streaming ingest (config.ingest): kAppendSamples frames route through the
-// same dispatch machinery — the owning reactor decodes the batch, the thread
-// pool runs the TraceStore append (so reactors never block on a day rollup),
+// same dispatch machinery — the reactor decodes the batch, the thread pool
+// runs the TraceStore append (so the reactor never blocks on a day rollup),
 // and the ack rides the MPSC inbox back like any completion. An append
 // extends whatever history the store holds or can load for its key. Day
 // closes invalidate the machine in the PredictionService from inside the
@@ -66,24 +52,20 @@
 // assigns elsewhere, answering kWrongShard with its current ring so the
 // client can re-route — the refusal carries the refetch. A gossip agent
 // attached with attach_gossip() answers kGossipSync frames with the merged
-// table as kGossipAck; both paths are mutex-guarded so any reactor can
+// table as kGossipAck; both paths are mutex-guarded so the reactor can
 // serve them while the owner ticks the agent.
 //
-// Observability: each reactor keeps its own instruments, attached to the
-// global registry twice — folded into the fleet-wide series
-// (net.rx.bytes.total, net.tx.bytes.total, net.frames.total,
-// net.requests.total, net.errors.total, net.request.seconds) *and* exposed
-// per reactor as net.reactor.<i>.* — so the exposition sums shards without
-// double counting. ServerStats is an aggregation over per-reactor
-// snapshots (reactor_stats()); there is no separate global counter to
-// drift out of sync.
+// Observability: the reactor's instruments are attached once to the global
+// registry as the server's series (net.rx.bytes.total, net.tx.bytes.total,
+// net.frames.total, net.requests.total, net.errors.total,
+// net.request.seconds, registry.*, ingest.*); servers in one process fold
+// into the same series. stats() snapshots the same instruments.
 //
-// Threading: start() spawns one thread per reactor. add_trace(), stats(),
-// reactor_stats() and stop() are safe from any thread; snapshots are exact
-// after stop() (the joins order every reactor-thread increment).
+// Threading: start() spawns the reactor thread. add_trace(), stats() and
+// stop() are safe from any thread; snapshots are exact after stop() (the
+// join orders every reactor-thread increment).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -105,12 +87,8 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read the actual one back with port().
   std::uint16_t port = 0;
-  /// Connections beyond this (server-wide, all reactors) are accepted and
-  /// immediately closed.
+  /// Connections beyond this are accepted and immediately closed.
   std::size_t max_connections = 256;
-  /// Reactor threads. 1 (the default) reproduces the single-reactor server
-  /// exactly; N>1 deals connections round-robin across N epoll loops.
-  unsigned reactors = 1;
   /// When non-empty, keys the store lacks load as trace file paths that must
   /// canonicalize to under this directory; empty (the default) disables
   /// filesystem loading, so clients can only name added or streamed
@@ -138,9 +116,8 @@ struct ServerConfig {
   std::string node_id;
 };
 
-/// Monotonic serving counters. One of these per reactor
-/// (PredictionServer::reactor_stats()); PredictionServer::stats() is their
-/// field-wise sum.
+/// Monotonic serving counters (PredictionServer::stats()). operator+=
+/// sums several servers' counters field by field.
 struct ServerStats {
   std::uint64_t accepted = 0;      ///< connections accepted
   std::uint64_t dropped = 0;       ///< closed at accept (failpoint/capacity)
@@ -161,7 +138,6 @@ struct ServerStats {
   std::uint64_t tx_bytes = 0;
 
   ServerStats& operator+=(const ServerStats& other);
-  friend bool operator==(const ServerStats&, const ServerStats&) = default;
 };
 
 class PredictionServer {
@@ -179,33 +155,29 @@ class PredictionServer {
   /// continue it). Throws DataError when the store already holds that id.
   void add_trace(MachineTrace trace) { store_->adopt_trace(std::move(trace)); }
 
-  /// Binds the listener, spawns one thread per reactor. Throws DataError
+  /// Binds the listener and spawns the reactor thread. Throws DataError
   /// when a socket cannot be set up.
   void start();
 
-  /// Stops every loop, joins the reactor threads, waits out in-flight
+  /// Stops the loop, joins the reactor thread, waits out in-flight
   /// batches, and closes every connection. Idempotent.
   void stop();
-
-  bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// The bound port (valid after start(); resolves port 0 to the real one).
   std::uint16_t port() const { return bound_port_; }
   const std::string& host() const { return config_.host; }
 
-  unsigned reactor_count() const;
-
   const std::shared_ptr<PredictionService>& service() const {
     return service_;
   }
 
-  /// The store every served trace lives in; never null. Shared by all
-  /// reactors; safe to use from any thread (snapshots are immutable).
+  /// The store every served trace lives in; never null. Safe to use from
+  /// any thread (snapshots are immutable).
   TraceStore* store() const { return store_.get(); }
 
   /// Installs (or replaces) the registry ring this server routes by.
-  /// Thread-safe, callable while serving — reactors pick up the new ring on
-  /// their next batch. With config.node_id empty the ring is only echoed in
+  /// Thread-safe, callable while serving — the reactor picks up the new
+  /// ring on its next batch. With config.node_id empty the ring is only echoed in
   /// kWrongShard frames, never enforced.
   void set_ring(HashRing ring);
 
@@ -233,17 +205,12 @@ class PredictionServer {
   void gossip_merge_ack(const GossipMessage& ack);
 
   /// The attached agent's current routing ring (under the mutex). Callers
-  /// typically follow with set_ring() to publish it to the reactors.
+  /// typically follow with set_ring() to publish it to the reactor.
   HashRing gossip_ring();
 
-  /// Aggregate counters: the field-wise sum of reactor_stats(). Safe from
-  /// any thread while serving; exact after stop().
+  /// Serving counters. Safe from any thread while serving; exact after
+  /// stop().
   ServerStats stats() const;
-
-  /// Per-reactor snapshots, index-aligned with the reactor threads. The
-  /// invariant `stats() == sum(reactor_stats())` is pinned by
-  /// tests/net/reactor_test.cpp.
-  std::vector<ServerStats> reactor_stats() const;
 
  private:
   friend class Reactor;
@@ -257,18 +224,16 @@ class PredictionServer {
   std::unique_ptr<TraceStore> store_;
 
   /// Registry ring for shard routing; swapped whole under ring_mutex_ so
-  /// reactors read a consistent immutable snapshot.
+  /// the reactor reads a consistent immutable snapshot.
   std::shared_ptr<const HashRing> ring_;
   mutable std::mutex ring_mutex_;
   /// Gossip agent answering kGossipSync (fgcs_serve owns it); guarded by
   /// gossip_mutex_ against concurrent reactor handling and owner ticks.
   GossipAgent* gossip_agent_ = nullptr;
   std::mutex gossip_mutex_;
-  std::vector<std::unique_ptr<Reactor>> reactors_;
-  std::vector<std::thread> threads_;
-  std::atomic<std::size_t> total_active_{0};  // capacity check, all reactors
+  std::unique_ptr<Reactor> reactor_;
+  std::thread thread_;
   std::uint16_t bound_port_ = 0;
-  std::atomic<bool> running_{false};
   bool started_ = false;
 };
 

@@ -31,8 +31,7 @@ class IngestChaosTest : public ChaosTest {
  protected:
   /// Starts a loopback *ingest* server (no preloaded traces). Call after
   /// arming failpoints — drops and rollup failures are consulted live.
-  void start(int machines = 3, int days = 6, unsigned reactors = 1,
-             std::int64_t retention = 0) {
+  void start(int machines = 3, int days = 6, std::int64_t retention = 0) {
     for (int m = 0; m < machines; ++m)
       fleet_.push_back(
           m % 2 == 0
@@ -42,7 +41,6 @@ class IngestChaosTest : public ChaosTest {
     net::ServerConfig config;
     config.ingest = true;
     config.ingest_retention_days = retention;
-    config.reactors = reactors;
     server_ = std::make_unique<net::PredictionServer>(config, service_);
     server_->start();
 
@@ -168,7 +166,7 @@ TEST_F(IngestChaosTest, CombinedStormUnderRetentionStillServesExactly) {
   Failpoints::instance().arm_from_spec(
       "ingest.append.drop=prob:0.25:77;ingest.rollup.fail=every:4;"
       "net.frame.corrupt=prob:0.1:77");
-  start(/*machines=*/2, /*days=*/6, /*reactors=*/1, /*retention=*/4);
+  start(/*machines=*/2, /*days=*/6, /*retention=*/4);
   for (const MachineTrace& trace : fleet_) {
     const net::WireAppendAck totals =
         stream(trace, trace.samples_per_day() + 13);
@@ -197,27 +195,19 @@ TEST_F(IngestChaosTest, CombinedStormUnderRetentionStillServesExactly) {
 }
 
 TEST_F(IngestChaosTest, MultiReactorStormKeepsPerReactorAccounting) {
-  // The same storm against a sharded 4-reactor ingest server: the global
-  // snapshot must still equal the sum of the per-reactor splits (ingest
-  // counters ride the serving reactor's inbox, never the store), and the
-  // histories must still converge byte-identically.
+  // Append drops plus dropped accepts: the histories must still converge
+  // byte-identically, and the server's ingest counters (which ride the
+  // reactor's inbox, never the store) must count every closed day and
+  // accepted sample exactly once.
   Failpoints::instance().arm_from_spec(
       "ingest.append.drop=prob:0.3:31337;net.accept.drop=every:4");
-  start(/*machines=*/3, /*days=*/5, /*reactors=*/4);
+  start(/*machines=*/3, /*days=*/5);
   for (const MachineTrace& trace : fleet_) {
     stream(trace, trace.samples_per_day() * 2 + 5);
     expect_history_identical(trace);
   }
   server_->stop();
   const net::ServerStats total = server_->stats();
-  net::ServerStats summed;
-  for (const net::ServerStats& reactor : server_->reactor_stats())
-    summed += reactor;
-  EXPECT_EQ(summed.appends, total.appends);
-  EXPECT_EQ(summed.append_samples, total.append_samples);
-  EXPECT_EQ(summed.append_duplicates, total.append_duplicates);
-  EXPECT_EQ(summed.days_closed, total.days_closed);
-  EXPECT_EQ(summed.days_retired, total.days_retired);
   EXPECT_EQ(total.days_closed, 3u * 5u);
   EXPECT_EQ(total.append_samples,
             3u * 5u * fleet_.front().samples_per_day());

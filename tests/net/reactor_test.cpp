@@ -1,18 +1,10 @@
-// Multi-reactor server invariants (src/net/server.{hpp,cpp}):
+// Reactor invariants (src/net/server.{hpp,cpp}):
 //
-//  - ServerStats is an *aggregation*: stats() must equal the field-wise sum
-//    of reactor_stats() — there is no separate global counter set to drift
-//    or double count (the ISSUE-6 stats fix).
-//  - Placement: reactor 0 owns the only listener and deals connections
-//    round-robin under the default config, so with sequential connects the
-//    per-reactor counters prove every connection's frames were serviced by
-//    exactly the reactor that owns it (strict ownership).
-//  - Every reactor serves its connections bit-identically to the
-//    in-process predictor.
 //  - A connection that pipelines requests gets its responses strictly in
-//    request order (the per-connection busy/pending queue).
+//    request order, each bit-identical to the in-process predictor (the
+//    per-connection busy/pending queue).
 //
-// Plus the MpscQueue primitive the reactors hand off through.
+// Plus the MpscQueue primitive pool workers hand completions back through.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -22,7 +14,6 @@
 
 #include <bit>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -30,7 +21,6 @@
 
 #include "core/prediction_service.hpp"
 #include "core/predictor.hpp"
-#include "net/client.hpp"
 #include "net/mpsc_queue.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
@@ -56,12 +46,6 @@ WireRequestItem item_for(const MachineTrace& trace, SimTime start_hour) {
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-ServerStats sum_stats(const std::vector<ServerStats>& shards) {
-  ServerStats total;
-  for (const ServerStats& shard : shards) total += shard;
-  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -114,7 +98,7 @@ TEST(MpscQueue, ConcurrentProducersLoseNothingAndKeepPerProducerOrder) {
         queue.push(new TestNode{.producer = p, .sequence = i});
     });
 
-  // Drain concurrently with production (the real reactors do), then once
+  // Drain concurrently with production (the real reactor does), then once
   // more after the joins to catch stragglers.
   int total = 0;
   std::vector<int> last_seen(kProducers, -1);
@@ -138,162 +122,12 @@ TEST(MpscQueue, ConcurrentProducersLoseNothingAndKeepPerProducerOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Reactor sharding
-
-TEST(Reactor, StatsAggregateEqualsPerReactorSum) {
-  const std::vector<MachineTrace> fleet = small_fleet();
-  ServerConfig config;
-  config.reactors = 4;
-  PredictionServer server(config, std::make_shared<PredictionService>());
-  for (const MachineTrace& trace : fleet) server.add_trace(trace);
-  server.start();
-  EXPECT_EQ(server.reactor_count(), 4u);
-
-  // Traffic with successes *and* errors, across several connections, so
-  // every aggregated field is exercised.
-  for (int c = 0; c < 6; ++c) {
-    ClientConfig client_config;
-    client_config.port = server.port();
-    PredictionClient client(client_config);
-    for (const MachineTrace& trace : fleet)
-      (void)client.predict(item_for(trace, 9));
-    EXPECT_THROW(
-        (void)client.predict(WireRequestItem{
-            .machine_key = "no-such-machine",
-            .request = item_for(fleet.front(), 9).request}),
-        RemoteError);
-  }
-
-  server.stop();  // joins: snapshots are exact from here on
-  const ServerStats total = server.stats();
-  const std::vector<ServerStats> shards = server.reactor_stats();
-  ASSERT_EQ(shards.size(), 4u);
-  const ServerStats summed = sum_stats(shards);
-
-  EXPECT_EQ(total.accepted, summed.accepted);
-  EXPECT_EQ(total.dropped, summed.dropped);
-  EXPECT_EQ(total.active, summed.active);
-  EXPECT_EQ(total.frames, summed.frames);
-  EXPECT_EQ(total.requests, summed.requests);
-  EXPECT_EQ(total.predictions, summed.predictions);
-  EXPECT_EQ(total.responses, summed.responses);
-  EXPECT_EQ(total.errors, summed.errors);
-  EXPECT_EQ(total.rx_bytes, summed.rx_bytes);
-  EXPECT_EQ(total.tx_bytes, summed.tx_bytes);
-  EXPECT_EQ(total, summed);  // every field, the ones above included
-
-  // And the totals are the traffic we actually sent: 6 connections × 3
-  // requests (2 served + 1 rejected).
-  EXPECT_EQ(total.accepted, 6u);
-  EXPECT_EQ(total.requests, 6u * 3u);
-  EXPECT_EQ(total.responses, 6u * 2u);
-  EXPECT_EQ(total.predictions, 6u * 2u);
-  EXPECT_EQ(total.errors, 6u);
-}
-
-TEST(Reactor, DefaultConfigDealsConnectionsRoundRobin) {
-  const std::vector<MachineTrace> fleet = small_fleet();
-  ServerConfig config;
-  config.reactors = 4;  // nothing else set: the default placement
-  PredictionServer server(config, std::make_shared<PredictionService>());
-  for (const MachineTrace& trace : fleet) server.add_trace(trace);
-  server.start();
-
-  // Eight sequential connections held open, two requests each; a connection
-  // has been adopted by its owner once it has answered.
-  std::vector<std::unique_ptr<PredictionClient>> clients;
-  for (int c = 0; c < 8; ++c) {
-    ClientConfig client_config;
-    client_config.port = server.port();
-    clients.push_back(std::make_unique<PredictionClient>(client_config));
-    (void)clients.back()->predict(item_for(fleet[0], 9));
-    (void)clients.back()->predict(item_for(fleet[1], 14));
-  }
-  const std::vector<ServerStats> open = server.reactor_stats();
-  ASSERT_EQ(open.size(), 4u);
-  EXPECT_EQ(open[0].accepted, 8u);  // the one listener
-  for (std::size_t i = 0; i < open.size(); ++i) {
-    EXPECT_EQ(open[i].active, 2u) << "reactor " << i;
-    EXPECT_EQ(open[i].frames, 4u) << "reactor " << i;
-  }
-  clients.clear();
-  server.stop();
-}
-
-TEST(Reactor, HandoffPlacesConnectionsRoundRobinWithStrictOwnership) {
-  const std::vector<MachineTrace> fleet = small_fleet();
-  ServerConfig config;
-  config.reactors = 4;
-  PredictionServer server(config, std::make_shared<PredictionService>());
-  for (const MachineTrace& trace : fleet) server.add_trace(trace);
-  server.start();
-
-  // Eight sequential connections, two requests each, all held open so no fd
-  // is reused: round-robin must deal exactly two connections per reactor.
-  std::vector<std::unique_ptr<PredictionClient>> clients;
-  for (int c = 0; c < 8; ++c) {
-    ClientConfig client_config;
-    client_config.port = server.port();
-    clients.push_back(std::make_unique<PredictionClient>(client_config));
-    (void)clients.back()->predict(item_for(fleet[0], 9));
-    (void)clients.back()->predict(item_for(fleet[1], 14));
-  }
-  clients.clear();
-  server.stop();
-
-  const std::vector<ServerStats> shards = server.reactor_stats();
-  ASSERT_EQ(shards.size(), 4u);
-  // Only reactor 0 listens.
-  EXPECT_EQ(shards[0].accepted, 8u);
-  for (std::size_t i = 1; i < shards.size(); ++i)
-    EXPECT_EQ(shards[i].accepted, 0u) << "reactor " << i;
-  // Strict ownership: each reactor serviced exactly its two connections'
-  // frames — 2 connections × 2 requests — and nothing else. Any cross-
-  // reactor servicing would skew these counters.
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    EXPECT_EQ(shards[i].frames, 4u) << "reactor " << i;
-    EXPECT_EQ(shards[i].requests, 4u) << "reactor " << i;
-    EXPECT_EQ(shards[i].responses, 4u) << "reactor " << i;
-    EXPECT_EQ(shards[i].errors, 0u) << "reactor " << i;
-  }
-}
-
-TEST(Reactor, TwoReactorsServeEveryConnectionBitIdentical) {
-  const std::vector<MachineTrace> fleet = small_fleet();
-  ServerConfig config;
-  config.reactors = 2;
-  PredictionServer server(config, std::make_shared<PredictionService>());
-  for (const MachineTrace& trace : fleet) server.add_trace(trace);
-  server.start();
-  // Ten connections alternate between the two reactors; each must answer
-  // with the in-process predictor's bits.
-
-  const AvailabilityPredictor reference;
-  const WireRequestItem item = item_for(fleet[0], 9);
-  const Prediction expected = reference.predict(fleet[0], item.request);
-  for (int c = 0; c < 10; ++c) {
-    ClientConfig client_config;
-    client_config.port = server.port();
-    PredictionClient client(client_config);
-    const Prediction served = client.predict(item);
-    EXPECT_TRUE(same_bits(served.temporal_reliability,
-                          expected.temporal_reliability))
-        << "connection " << c;
-  }
-
-  server.stop();
-  const ServerStats total = server.stats();
-  EXPECT_EQ(total.accepted, 10u);
-  EXPECT_EQ(total.requests, 10u);
-  EXPECT_EQ(total.responses, 10u);
-  EXPECT_EQ(total, sum_stats(server.reactor_stats()));
-}
+// Reactor
 
 TEST(Reactor, PipelinedRequestsAnswerInRequestOrder) {
   const std::vector<MachineTrace> fleet = small_fleet();
-  ServerConfig config;
-  config.reactors = 2;
-  PredictionServer server(config, std::make_shared<PredictionService>());
+  PredictionServer server(ServerConfig{},
+                          std::make_shared<PredictionService>());
   for (const MachineTrace& trace : fleet) server.add_trace(trace);
   server.start();
 
@@ -356,16 +190,6 @@ TEST(Reactor, PipelinedRequestsAnswerInRequestOrder) {
   server.stop();
   EXPECT_EQ(server.stats().requests, batches.size());
   EXPECT_EQ(server.stats().responses, batches.size());
-}
-
-TEST(Reactor, SingleReactorIsTheDefaultAndRefusesZero) {
-  PredictionServer server(ServerConfig{},
-                          std::make_shared<PredictionService>());
-  EXPECT_EQ(server.reactor_count(), 1u);
-  ServerConfig zero;
-  zero.reactors = 0;
-  EXPECT_THROW(PredictionServer(zero, std::make_shared<PredictionService>()),
-               PreconditionError);
 }
 
 }  // namespace

@@ -248,5 +248,42 @@ TEST_F(RoutingDifferentialTest, WholeGridAsOneBatchMatchesBaseline) {
       << "one wire batch per owning shard";
 }
 
+TEST(RoutingHopBound, ServersThatPointAtEachOtherEndTheCallAfterThreeHops) {
+  // Each server's ring names only the other node, so each refuses every key
+  // with a ring that sends the client back: the forwarding never settles.
+  PredictionServer a(ServerConfig{.node_id = "a"},
+                     std::make_shared<PredictionService>());
+  PredictionServer b(ServerConfig{.node_id = "b"},
+                     std::make_shared<PredictionService>());
+  a.start();
+  b.start();
+  const RingMember member_a{"a", "127.0.0.1", a.port()};
+  const RingMember member_b{"b", "127.0.0.1", b.port()};
+  a.set_ring(HashRing({member_b}));
+  b.set_ring(HashRing({member_a}));
+
+  ShardedPredictionClient client(HashRing({member_a}));
+  const WireRequestItem item{
+      .machine_key = "m0",
+      .request = {.target_day = 5,
+                  .window = {.start_of_day = 9 * kSecondsPerHour,
+                             .length = 2 * kSecondsPerHour}}};
+  try {
+    (void)client.predict(item);
+    FAIL() << "expected the hop bound to end the call";
+  } catch (const DataError& error) {
+    EXPECT_NE(std::string(error.what()).find("exceeded 3 hops"),
+              std::string::npos)
+        << error.what();
+  }
+  // Refusals 1-3 each adopt the carried ring; refusal 4 exceeds the bound.
+  EXPECT_EQ(client.stats().wrong_shard_hops, 4u);
+  EXPECT_EQ(client.stats().ring_refreshes, 3u);
+  a.stop();
+  b.stop();
+  EXPECT_EQ(a.stats().wrong_shard, 2u);
+  EXPECT_EQ(b.stats().wrong_shard, 2u);
+}
+
 }  // namespace
 }  // namespace fgcs::net

@@ -12,8 +12,9 @@
 //  (C) two files whose traces carry the same internal machine id must each
 //      serve their own TR (the key, not the file's id, names the machine).
 //
-// Plus the load-once contract: at 4 reactors N distinct path keys requested
-// across several connections load exactly N times.
+// Plus the load-once contract: N distinct path keys requested by eight
+// concurrent connections load exactly N times, though their misses race on
+// pool workers.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -211,13 +212,12 @@ TEST(NetTraceSource, FourReactorsLoadEachDistinctKeyOnce) {
   }
 
   ServerConfig config;
-  config.reactors = 4;  // eight connections, two per reactor
   config.trace_root = root.string();
   PredictionServer server(config, std::make_shared<PredictionService>());
   server.start();
 
-  // Every connection names every key, from its own thread, so reactors
-  // and pool workers miss the same keys together.
+  // Every connection names every key, from its own thread, so pool workers
+  // miss the same keys together.
   const PredictionRequest request = request_for(fleet.front().day_count());
   std::vector<Prediction> expected;
   for (const MachineTrace& trace : fleet)

@@ -65,9 +65,9 @@ TEST(ArgParserTest, DoublesMustBeFinite) {
 
 TEST(ArgParserTest, BoundedReadsRejectNegativeAndOverRangeValues) {
   const ArgParser args = parse(
-      {"prog", "--reactors", "-1", "--port", "70000", "--ops", "-5"});
-  // Unbounded, these narrow silently: 4294967295 reactors, port 4464.
-  EXPECT_THROW(args.get_int_or("reactors", 1, 1, 256), PreconditionError);
+      {"prog", "--connections", "-1", "--port", "70000", "--ops", "-5"});
+  // Unbounded, these narrow silently: 4294967295 connections, port 4464.
+  EXPECT_THROW(args.get_int_or("connections", 1, 1, 256), PreconditionError);
   EXPECT_THROW(args.get_int_or("port", 0, 0, 65535), PreconditionError);
   EXPECT_THROW(args.get_int("port", 1, 65535), PreconditionError);
   EXPECT_THROW(args.get_int_or("ops", 10, 0, 1000), PreconditionError);

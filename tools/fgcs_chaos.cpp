@@ -3,7 +3,7 @@
 //   fgcs_chaos --scenario revocation|churn|planner|registry|service|net|
 //                         ingest|gossip
 //              [--seed S] [--machines N] [--days D] [--jobs J]
-//              [--reactors N] [--failpoints SPEC]
+//              [--failpoints SPEC]
 //
 // Each scenario generates a synthetic fleet from --seed, arms a scenario
 // default FGCS_FAILPOINTS spec (overridable with --failpoints), submits
@@ -260,21 +260,13 @@ int serve_jobs(Client& client, const std::vector<MachineTrace>& traces,
 /// bit-identical to an in-process service, and — because every net failpoint
 /// is evaluated per connection or per frame, never per read()/write() — the
 /// printed counters and FailpointStats replay byte-identically.
-int run_net(std::uint64_t seed, int machines, int days, int jobs,
-            unsigned reactors) {
+int run_net(std::uint64_t seed, int machines, int days, int jobs) {
   const std::vector<MachineTrace> traces = lab_fleet(seed, machines, days);
 
-  net::ServerConfig server_config;
-  // Connection placement is deterministic round-robin; with a sequential
-  // client that keeps the whole report — including the per-reactor counter
-  // split printed below — byte-identical run to run.
-  server_config.reactors = reactors;
-  net::PredictionServer server(server_config,
+  net::PredictionServer server(net::ServerConfig{},
                                std::make_shared<PredictionService>());
   for (const MachineTrace& trace : traces) server.add_trace(trace);
   server.start();
-  if (reactors > 1)
-    std::printf("reactors=%u\n", server.reactor_count());
 
   net::ClientConfig client_config;
   client_config.port = server.port();
@@ -301,18 +293,6 @@ int run_net(std::uint64_t seed, int machines, int days, int jobs,
               static_cast<unsigned long long>(stats.errors),
               static_cast<unsigned long long>(stats.rx_bytes),
               static_cast<unsigned long long>(stats.tx_bytes));
-  if (reactors > 1) {
-    // The per-reactor split is part of the replay contract: round-robin
-    // hand-off + sequential driving pin which reactor serviced what.
-    const std::vector<net::ServerStats> shards = server.reactor_stats();
-    for (std::size_t i = 0; i < shards.size(); ++i)
-      std::printf("reactor %zu: frames=%llu requests=%llu responses=%llu "
-                  "errors=%llu\n",
-                  i, static_cast<unsigned long long>(shards[i].frames),
-                  static_cast<unsigned long long>(shards[i].requests),
-                  static_cast<unsigned long long>(shards[i].responses),
-                  static_cast<unsigned long long>(shards[i].errors));
-  }
   const net::ClientStats& client_stats = client.stats();
   std::printf("client: batches=%llu attempts=%llu retries=%llu "
               "reconnects=%llu server_errors=%llu\n",
@@ -332,22 +312,16 @@ int run_net(std::uint64_t seed, int machines, int days, int jobs,
 /// byte-identical to its source trace, and predictions served over the
 /// streamed history must match an in-process service on the originals bit
 /// for bit. Every counter printed is pinned by the spec + seed, so the run
-/// replays byte-identically (the chaos_replay_ingest* ctest rows).
-int run_ingest(std::uint64_t seed, int machines, int days, int jobs,
-               unsigned reactors) {
+/// replays byte-identically (the chaos_replay_ingest ctest row).
+int run_ingest(std::uint64_t seed, int machines, int days, int jobs) {
   WorkloadParams params;
   params.sampling_period = 60;  // coarse period keeps the replay quick
   const std::vector<MachineTrace> traces =
       generate_fleet(params, seed, machines, days, "chaos");
 
-  net::ServerConfig server_config;
-  server_config.reactors = reactors;
-  server_config.ingest = true;
-  net::PredictionServer server(server_config,
+  net::PredictionServer server(net::ServerConfig{.ingest = true},
                                std::make_shared<PredictionService>());
   server.start();
-  if (reactors > 1)
-    std::printf("reactors=%u\n", server.reactor_count());
 
   net::ClientConfig client_config;
   client_config.port = server.port();
@@ -441,17 +415,6 @@ int run_ingest(std::uint64_t seed, int machines, int days, int jobs,
               static_cast<unsigned long long>(stats.days_closed),
               static_cast<unsigned long long>(stats.days_retired),
               static_cast<unsigned long long>(stats.errors));
-  if (reactors > 1) {
-    const std::vector<net::ServerStats> shards = server.reactor_stats();
-    for (std::size_t i = 0; i < shards.size(); ++i)
-      std::printf("reactor %zu: frames=%llu appends=%llu samples=%llu "
-                  "closed=%llu errors=%llu\n",
-                  i, static_cast<unsigned long long>(shards[i].frames),
-                  static_cast<unsigned long long>(shards[i].appends),
-                  static_cast<unsigned long long>(shards[i].append_samples),
-                  static_cast<unsigned long long>(shards[i].days_closed),
-                  static_cast<unsigned long long>(shards[i].errors));
-  }
   const net::ClientStats& client_stats = client.stats();
   std::printf("client: appends=%llu batches=%llu attempts=%llu retries=%llu "
               "reconnects=%llu server_errors=%llu\n",
@@ -481,8 +444,7 @@ int run_ingest(std::uint64_t seed, int machines, int days, int jobs,
 /// deliberately staled ring every third job, healing via kWrongShard — and
 /// every served TR must be bit-identical to an in-process single-registry
 /// reference.
-int run_gossip(std::uint64_t seed, int machines, int days, int jobs,
-               unsigned reactors) {
+int run_gossip(std::uint64_t seed, int machines, int days, int jobs) {
   constexpr int kNodes = 3;
   const auto node_id = [](int i) { return "reg" + std::to_string(i); };
 
@@ -550,19 +512,15 @@ int run_gossip(std::uint64_t seed, int machines, int days, int jobs,
 
   std::vector<std::unique_ptr<net::PredictionServer>> servers;
   for (int i = 0; i < kNodes; ++i) {
-    net::ServerConfig server_config;
-    server_config.reactors = reactors;
-    server_config.node_id = node_id(i);
     servers.push_back(std::make_unique<net::PredictionServer>(
-        server_config, std::make_shared<PredictionService>()));
+        net::ServerConfig{.node_id = node_id(i)},
+        std::make_shared<PredictionService>()));
     // Every node holds every trace: the ring decides who *answers*, which
     // is exactly what makes a wrong ring observable as kWrongShard rather
     // than as a missing machine.
     for (const MachineTrace& trace : traces) servers.back()->add_trace(trace);
     servers.back()->start();
   }
-  if (reactors > 1)
-    std::printf("reactors=%u\n", servers[0]->reactor_count());
 
   std::vector<RingMember> members;
   for (int i = 0; i < kNodes; ++i)
@@ -571,9 +529,7 @@ int run_gossip(std::uint64_t seed, int machines, int days, int jobs,
   const HashRing ring(members, /*vnodes=*/64, /*version=*/1);
   for (const auto& server : servers) server->set_ring(ring);
 
-  net::ShardedClientConfig client_config;
-  client_config.base.port = 1;  // per-shard endpoints come from the ring
-  net::ShardedPredictionClient client(ring, client_config);
+  net::ShardedPredictionClient client(ring);
 
   const int completed = serve_jobs(client, traces, jobs, [&](int j) {
     if (j % 3 == 0 && ring.size() > 1) {
@@ -618,11 +574,6 @@ int main_checked(int argc, char** argv) {
       static_cast<int>(args.get_int_or("machines", 4, 1, kIntMax));
   const int days = static_cast<int>(args.get_int_or("days", 10, 2, kIntMax));
   const int jobs = static_cast<int>(args.get_int_or("jobs", 8, 1, kIntMax));
-  // Round-robin placement gives a reactor past max_connections nothing to
-  // own, so that is the ceiling.
-  const auto reactors = static_cast<unsigned>(args.get_int_or(
-      "reactors", 1, 1,
-      static_cast<std::int64_t>(net::ServerConfig{}.max_connections)));
   std::string spec = args.get_or("failpoints", "");
   args.check_all_consumed();
 
@@ -686,11 +637,11 @@ int main_checked(int argc, char** argv) {
   } else if (scenario == "planner") {
     status = run_planner(seed, machines, days, jobs);
   } else if (scenario == "net") {
-    status = run_net(seed, machines, days, jobs, reactors);
+    status = run_net(seed, machines, days, jobs);
   } else if (scenario == "ingest") {
-    status = run_ingest(seed, machines, days, jobs, reactors);
+    status = run_ingest(seed, machines, days, jobs);
   } else if (scenario == "gossip") {
-    status = run_gossip(seed, machines, days, jobs, reactors);
+    status = run_gossip(seed, machines, days, jobs);
   } else {
     std::fprintf(stderr,
                  "unknown scenario '%s' "

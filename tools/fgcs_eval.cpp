@@ -5,7 +5,9 @@
 // Splits the trace into training/test halves and reports, per window length,
 // the relative error of the SMP-predicted TR against the empirical TR over
 // the test days (the paper's Fig. 5 protocol), with a Wilson 95% interval on
-// the empirical TR so model error can be separated from sampling noise.
+// the empirical TR so model error can be separated from sampling noise. A
+// day type with no scored window prints one line saying why instead of an
+// empty table.
 #include <cstdio>
 #include <iostream>
 
@@ -35,18 +37,19 @@ int main(int argc, char** argv) {
         static_cast<std::int64_t>(split * static_cast<double>(trace.day_count()));
 
     for (const DayType type : {DayType::kWeekday, DayType::kWeekend}) {
-      print_banner(std::cout, std::string("accuracy on ") + to_string(type) +
-                                  "s — " + trace.machine_id());
+      const std::string day_type = to_string(type);
+      print_banner(std::cout,
+                   "accuracy on " + day_type + "s — " + trace.machine_id());
+      const auto test_days =
+          trace.days_of_type(type, split_day, trace.day_count());
+      bool untrained = false;
       Table table({"window_len_hr", "avg_err", "max_err", "in_95ci", "windows"});
-      for (SimTime len_hr = 1; len_hr <= 10; ++len_hr) {
+      for (SimTime len_hr = 1; len_hr <= 10 && !test_days.empty(); ++len_hr) {
         RunningStats errors;
         std::size_t in_ci = 0, total = 0;
         for (SimTime start_hr = 0; start_hr < 24; ++start_hr) {
           const TimeWindow window{.start_of_day = start_hr * kSecondsPerHour,
                                   .length = len_hr * kSecondsPerHour};
-          const auto test_days =
-              trace.days_of_type(type, split_day, trace.day_count());
-          if (test_days.empty()) continue;
           Prediction p;
           try {
             p = predictor.predict(
@@ -54,7 +57,8 @@ int main(int argc, char** argv) {
           } catch (const PreconditionError&) {
             continue;
           } catch (const DataError&) {
-            continue;  // no training day of the target's type holds it
+            untrained = true;  // no training day of the target's type holds it
+            continue;
           }
           const EmpiricalTr emp =
               empirical_tr(trace, test_days, window, classifier);
@@ -70,6 +74,15 @@ int main(int argc, char** argv) {
                        Table::pct(errors.max()),
                        std::to_string(in_ci) + "/" + std::to_string(total),
                        std::to_string(errors.count())});
+      }
+      if (table.row_count() == 0) {
+        const std::string reason =
+            test_days.empty() ? "no " + day_type + " day after the split"
+            : untrained       ? "no same-type training day before the split"
+                              : "no window with a positive empirical TR";
+        std::cout << "no " << day_type << " window scored: " << reason
+                  << " (split at day " << split_day << ")\n";
+        continue;
       }
       table.print(std::cout);
     }

@@ -2,7 +2,7 @@
 // protocol (methodology in docs/BENCHMARKS.md, schedule semantics in
 // src/net/loadgen.hpp).
 //
-//   fgcs_loadgen --selfserve [--reactors N] [--machines M] [--days D] ...
+//   fgcs_loadgen --selfserve [--machines M] [--days D] ...
 //   fgcs_loadgen --host H --port P --keys id1,id2,... --target-day N ...
 //
 // Common knobs:
@@ -19,7 +19,7 @@
 //                       exit without touching the network
 //   --assert-achieved P exit 1 unless achieved ≥ P% of offered (CI smoke)
 //
-// --selfserve spins an in-process multi-reactor PredictionServer over a
+// --selfserve spins an in-process PredictionServer over a
 // synthetic fleet on an ephemeral loopback port and drives that, so a CI
 // smoke needs no orchestration. Latency is reported coordinated-omission-
 // safe: measured from each op's *scheduled* arrival, not its actual send.
@@ -86,11 +86,6 @@ int main_checked(int argc, char** argv) {
 
   // Target resolution — either an in-process server over a synthetic
   // fleet, or an external host/port plus explicit keys.
-  // Round-robin placement gives a reactor past max_connections nothing to
-  // own, so that is the ceiling.
-  const unsigned reactors = static_cast<unsigned>(args.get_int_or(
-      "reactors", 2, 1,
-      static_cast<std::int64_t>(net::ServerConfig{}.max_connections)));
   const std::size_t machines =
       static_cast<std::size_t>(args.get_int_or("machines", 4, 0));
   const std::size_t days =
@@ -136,15 +131,14 @@ int main_checked(int argc, char** argv) {
   if (selfserve) {
     net::ServerConfig server_config;
     server_config.port = port;
-    server_config.reactors = reactors;
     server_config.max_connections = config.connections + 16;
     server = std::make_unique<net::PredictionServer>(
         server_config, std::make_shared<PredictionService>());
     for (const MachineTrace& trace : fleet) server->add_trace(trace);
     server->start();
     target_port = server->port();
-    std::printf("fgcs_loadgen: selfserve %u reactor(s) on %s:%u\n",
-                server->reactor_count(), server->host().c_str(), target_port);
+    std::printf("fgcs_loadgen: selfserve on %s:%u\n", server->host().c_str(),
+                target_port);
   }
 
   const net::LoadgenResult result =
@@ -165,9 +159,8 @@ int main_checked(int argc, char** argv) {
     server->stop();
     const net::ServerStats stats = server->stats();
     std::printf("fgcs_loadgen: server frames=%" PRIu64 " responses=%" PRIu64
-                " errors=%" PRIu64 " across %u reactor(s)\n",
-                stats.frames, stats.responses, stats.errors,
-                server->reactor_count());
+                " errors=%" PRIu64 "\n",
+                stats.frames, stats.responses, stats.errors);
   }
 
   if (assert_achieved > 0) {

@@ -1,6 +1,6 @@
 // fgcs_serve — serve TR predictions over the binary wire protocol.
 //
-//   fgcs_serve [--host H] [--port P] [--reactors N] [--training-days N]
+//   fgcs_serve [--host H] [--port P] [--training-days N]
 //              [--threads N] [--load-root DIR] [--max-requests N]
 //              [--ingest] [--retention N] [--metrics]
 //              [--node-id ID [--peers ID=H:P,...] [--gossip-interval MS]
@@ -26,7 +26,7 @@
 // contacts); every --gossip-interval milliseconds the server runs one
 // anti-entropy round — tick the agent, push kGossipSync to the selected
 // peers, merge their acks — and republishes the resulting ring to its
-// reactors, so request batches for keys the ring assigns elsewhere are
+// reactor, so request batches for keys the ring assigns elsewhere are
 // answered with kWrongShard (the client re-routes). --vnodes tunes ring
 // smoothness (HashRing contract).
 //
@@ -85,7 +85,7 @@ std::vector<MemberState> parse_peers(const std::string& spec) {
 
 /// One anti-entropy round over the wire: tick, push the sync to each
 /// selected peer (endpoints from the agent's own member table), merge acks,
-/// republish the ring to the reactors. Unreachable peers just miss the
+/// republish the ring to the reactor. Unreachable peers just miss the
 /// round — phi accrual marks them suspect/dead if it keeps happening.
 void gossip_round(net::PredictionServer& server,
                   std::map<std::string, std::unique_ptr<net::PredictionClient>>&
@@ -209,11 +209,6 @@ int main_checked(int argc, char** argv) {
   server_config.host = args.get_or("host", "127.0.0.1");
   server_config.port =
       static_cast<std::uint16_t>(args.get_int_or("port", 7070, 0, 65535));
-  // Round-robin placement gives a reactor past max_connections nothing to
-  // own, so that is the ceiling.
-  server_config.reactors = static_cast<unsigned>(args.get_int_or(
-      "reactors", 1, 1,
-      static_cast<std::int64_t>(server_config.max_connections)));
   server_config.trace_root = args.get_or("load-root", "");
   server_config.ingest = args.has("ingest");
   server_config.ingest_retention_days = args.get_int_or("retention", 0);
@@ -269,9 +264,8 @@ int main_checked(int argc, char** argv) {
   }
   // Unbuffered so a parent process piping our stdout sees the port line
   // immediately (tests/net/net_tools_test.cpp parses it).
-  std::printf("fgcs_serve: listening on %s:%u (%zu traces, %u reactor%s%s)\n",
+  std::printf("fgcs_serve: listening on %s:%u (%zu traces%s)\n",
               server.host().c_str(), server.port(), args.positional().size(),
-              server.reactor_count(), server.reactor_count() == 1 ? "" : "s",
               server_config.ingest ? ", ingest on" : "");
   std::fflush(stdout);
 
